@@ -1,6 +1,5 @@
 """SO(3) geometric attitude control and swarm source-seeking simulation."""
 
-from ._kernels import NUMBA_ENABLED
 from .attitude import (
     AttitudeError,
     ControllerConfig,

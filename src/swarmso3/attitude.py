@@ -4,15 +4,17 @@ The error matrix is R_e = R_d^T R; its rotation angle mu is the tracking
 error. Two control laws: full feed-forward (the reference rate is fully
 known) and known-only feed-forward (the reference rate has an unknown
 component, compensated by raising the gain via `gain_for_bounded_rate`).
+The private `_error`, `_feedforward` and `_alignment` take a leading
+batch axis of agents; the public functions and the simulator's step both
+call them.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels as _k
 from .errors import NearPiSingularity
-from .so3 import _arr3, _mat3
+from .so3 import _adjoint, _arr3, _hat, _log, _mat3, _vee
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,32 @@ class ControllerConfig:
             raise ValueError("need 0 < mu_star <= delta_star <= pi")
 
 
+def _error(r_d, r):
+    """(r_e, tau_e, mu, ok) of attitudes r (..., 3, 3) against one r_d."""
+    r_e = r_d.T @ r
+    tau_e, mu, ok = _log(r_e)
+    return r_e, tau_e, mu, ok
+
+
+def _feedforward(r_e, tau_e, w_known, k_w):
+    """Body rates -k_w tau_e + R_e^T w_known; the second term is the
+    adjoint transport of the known reference rate into the body frame."""
+    return -k_w * tau_e + w_known @ r_e
+
+
+def _alignment(x_b, m_d):
+    """Great-circle angles between headings x_b (..., 3) and one m_d."""
+    return np.arccos(np.clip(x_b @ m_d, -1.0, 1.0))
+
+
 def attitude_error(r_d, r) -> AttitudeError:
     """Error signal between desired and actual attitude.
 
     Raises NearPiSingularity when the relative rotation sits at the
     antipode, which admissible initial conditions exclude.
     """
-    r_e = np.ascontiguousarray(_mat3(r_d).T @ _mat3(r))
-    tau_e, mu, status = _k.rot_log(r_e)
-    if status != _k.OK:
+    r_e, tau_e, mu, ok = _error(_mat3(r_d), _mat3(r))
+    if not ok:
         raise NearPiSingularity()
     return AttitudeError(r_e=r_e, mu=float(mu), tau_e=tau_e)
 
@@ -79,7 +98,7 @@ def attitude_error(r_d, r) -> AttitudeError:
 def error_rate(omega, omega_d, r_e) -> np.ndarray:
     """Body rate of the error matrix: Omega - Ad_{R_e^T}(Omega_d)."""
     omega, omega_d, r_e = _mat3(omega), _mat3(omega_d), _mat3(r_e)
-    return omega - _k.adjoint(np.ascontiguousarray(r_e.T), omega_d)
+    return omega - _adjoint(r_e.T, omega_d)
 
 
 def control_full_ff(r_e, omega_d, k_w: float) -> np.ndarray:
@@ -96,11 +115,10 @@ def control_known_ff(r_e, rate: DesiredAttitudeRate, k_w: float) -> np.ndarray:
     if not k_w > 0:
         raise ValueError("k_w must be positive")
     r_e = _mat3(r_e)
-    tau_e, _, status = _k.rot_log(r_e)
-    if status != _k.OK:
+    tau_e, _, ok = _log(r_e)
+    if not ok:
         raise NearPiSingularity()
-    w = _k.control_rate(r_e, tau_e, _k.vee(rate.known), k_w)
-    return _k.hat(w)
+    return _hat(_feedforward(r_e, tau_e, _vee(rate.known), k_w))
 
 
 def gain_for_bounded_rate(omega_max: float, mu_star: float) -> float:
@@ -137,5 +155,4 @@ def heading_alignment_delta(x_b, m_d) -> float:
     for v in (x_b, m_d):
         if abs(np.linalg.norm(v) - 1.0) > 1e-6:
             raise ValueError("heading vectors must have unit norm")
-    c = min(1.0, max(-1.0, float(x_b @ m_d)))
-    return float(np.arccos(c))
+    return float(_alignment(x_b, m_d))

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as _k
 from .errors import DegenerateDeployment, DegenerateDirection
 
 
@@ -48,9 +47,15 @@ def deployment_stats(positions) -> DeploymentStats:
         raise ValueError("positions must be a non-empty (N, 3) array")
     if not np.all(np.isfinite(p)):
         raise ValueError("positions must be finite")
-    pc, x, cov, lam, d = _k.swarm_stats(p)
+    pc = p.mean(axis=0)
+    x = p - pc
+    cov = x.T @ x / p.shape[0]
     return DeploymentStats(
-        centroid=pc, x=x, covariance=cov, lambda_min=float(lam), radius=float(d)
+        centroid=pc,
+        x=x,
+        covariance=cov,
+        lambda_min=float(np.linalg.eigvalsh(cov)[0]),
+        radius=float(np.sqrt((x * x).sum(axis=1).max())),
     )
 
 
@@ -66,7 +71,7 @@ def ascending_direction(sigma_samples, stats: DeploymentStats) -> np.ndarray:
         raise ValueError("need exactly one field sample per agent")
     if stats.radius <= 0.0:
         raise DegenerateDirection("all agents collocated (D = 0)")
-    return _k.ascending_sum(sigma, stats.x, stats.radius)
+    return (sigma @ stats.x) / (sigma.shape[0] * stats.radius**2)
 
 
 def heading_field(ell, eps_norm: float = 1e-9) -> np.ndarray:
@@ -131,3 +136,19 @@ def covariance_perturbation_bound(eps: float, stats0: DeploymentStats) -> float:
     if eps < 0:
         raise ValueError("eps must be >= 0")
     return float(2.0 * stats0.radius * eps + eps * eps)
+
+
+def weyl_floor_violation(positions, lambda_min) -> float:
+    """Worst breach of the Weyl covariance floor over a whole run.
+
+    positions is the (M, N, 3) position log and lambda_min its logged
+    smallest covariance eigenvalue per step. Step k's floor is
+    lambda_min(P(0)) - (2 D0 e_k + e_k^2) with e_k = max_i ||x_i(t_k) -
+    x_i(0)||; the result is max_k (floor_k - lambda_min_k), <= 0 when the
+    floor holds at every step.
+    """
+    stats0 = deployment_stats(positions[0])
+    x = positions - positions.mean(axis=1, keepdims=True)
+    eps = np.sqrt(np.max(np.sum((x - x[0]) ** 2, axis=2), axis=1))
+    floor = stats0.lambda_min - (2.0 * stats0.radius * eps + eps * eps)
+    return float(np.max(floor - lambda_min))

@@ -3,21 +3,15 @@
 Each field maps R^3 to positive reals with a unique maximum at `source`.
 The simulator samples values at agent positions; the analytic gradient
 exists for diagnostics and tests only and is never fed to controllers.
+`FieldSpec.values` and `FieldSpec.gradients` evaluate at a (..., 3)
+array of points, e.g. the (N, 3) positions of a whole swarm at once.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels as _k
-
 KINDS = ("gaussian", "quadratic", "sum_of_gaussians")
-
-_KIND_CODE = {
-    "gaussian": _k.FIELD_GAUSSIAN,
-    "quadratic": _k.FIELD_QUADRATIC,
-    "sum_of_gaussians": _k.FIELD_SUM_GAUSSIANS,
-}
 
 
 def _width_matrix(width) -> np.ndarray:
@@ -53,7 +47,9 @@ class FieldSpec:
     curvature: np.ndarray = None  # type: ignore[assignment]
     domain_radius: float = 0.0
     components: tuple = ()
-    _params: tuple = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    # (sources (K, 3), amplitudes (K,), matrices (K, 3, 3)): every kind is
+    # a sum over K terms of d_k = p - source_k and d_k^T M_k d_k
+    _terms: tuple = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -109,16 +105,32 @@ class FieldSpec:
             amps = np.asarray(amps_l)
             mats = np.ascontiguousarray(mats_l)
 
-        kind_code = _KIND_CODE[self.kind]
-        object.__setattr__(
-            self, "_params", (kind_code, sources, amps, mats, src.copy())
-        )
+        object.__setattr__(self, "_terms", (sources, amps, mats))
         if self.kind == "sum_of_gaussians":
             _check_unique_max(self)
 
-    def kernel_params(self) -> tuple:
-        """(kind_code, sources, amplitudes, matrices, main_source)."""
-        return self._params
+    def _quad(self, points):
+        """(M_k d_k, d_k^T M_k d_k) for every point and term."""
+        sources, _, mats = self._terms
+        d = points[..., None, :] - sources
+        md = (mats @ d[..., None])[..., 0]
+        return md, (d * md).sum(axis=-1)
+
+    def values(self, points) -> np.ndarray:
+        """Field values at points (..., 3); shape (...)."""
+        _, q = self._quad(points)
+        amps = self._terms[1]
+        if self.kind == "quadratic":
+            return amps[0] - q[..., 0]
+        return (amps * np.exp(-0.5 * q)).sum(axis=-1)
+
+    def gradients(self, points) -> np.ndarray:
+        """Analytic field gradients at points (..., 3); shape (..., 3)."""
+        md, q = self._quad(points)
+        amps = self._terms[1]
+        if self.kind == "quadratic":
+            return -2.0 * md[..., 0, :]
+        return -((amps * np.exp(-0.5 * q))[..., None] * md).sum(axis=-2)
 
 
 def _check_unique_max(spec: FieldSpec):
@@ -131,41 +143,36 @@ def _check_unique_max(spec: FieldSpec):
     exact optimum of a gaussian mixture rarely sits on a component
     center) are accepted.
     """
-    kind, sources, amps, mats, main = spec.kernel_params()
-    peak = _k.field_value(kind, sources, amps, mats, main)
+    sources = spec._terms[0]
+    peak = spec.values(spec.source)
     lo = sources.min(axis=0)
     hi = sources.max(axis=0)
     span = np.maximum(hi - lo, 1.0)
     lo, hi = lo - 0.5 * span, hi + 0.5 * span
     axes = [np.linspace(lo[a], hi[a], 7) for a in range(3)]
     cell = float(np.max((hi - lo) / 6.0))
-    for px in axes[0]:
-        for py in axes[1]:
-            for pz in axes[2]:
-                p = np.array([px, py, pz])
-                d = main - p
-                if np.linalg.norm(d) <= cell:
-                    continue
-                if _k.field_value(kind, sources, amps, mats, p) >= peak:
-                    raise ValueError(
-                        "field value at a grid point beats the declared source "
-                        f"(at {p.tolist()})"
-                    )
-                g = _k.field_gradient(kind, sources, amps, mats, p)
-                if float(g @ d) <= 0.0 and np.linalg.norm(g) > 1e-12 * peak:
-                    raise ValueError(
-                        "field is not single-peaked toward the declared source "
-                        f"(ascent check failed at {p.tolist()})"
-                    )
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    d = spec.source - grid
+    keep = np.linalg.norm(d, axis=1) > cell
+    grid, d = grid[keep], d[keep]
+    beats = np.flatnonzero(spec.values(grid) >= peak)
+    if beats.size:
+        raise ValueError(
+            "field value at a grid point beats the declared source "
+            f"(at {grid[beats[0]].tolist()})"
+        )
+    g = spec.gradients(grid)
+    uphill = (np.sum(g * d, axis=1) <= 0.0) & (np.linalg.norm(g, axis=1) > 1e-12 * peak)
+    if uphill.any():
+        raise ValueError(
+            "field is not single-peaked toward the declared source "
+            f"(ascent check failed at {grid[np.argmax(uphill)].tolist()})"
+        )
 
 
 def field_eval(spec: FieldSpec, p) -> float:
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    kind, sources, amps, mats, _ = spec.kernel_params()
-    return float(_k.field_value(kind, sources, amps, mats, p))
+    return float(spec.values(np.ascontiguousarray(p, dtype=np.float64)))
 
 
 def field_gradient(spec: FieldSpec, p) -> np.ndarray:
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    kind, sources, amps, mats, _ = spec.kernel_params()
-    return _k.field_gradient(kind, sources, amps, mats, p)
+    return spec.gradients(np.ascontiguousarray(p, dtype=np.float64))

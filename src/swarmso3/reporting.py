@@ -13,10 +13,10 @@ import math
 import numpy as np
 
 from .deployment import (
-    covariance_perturbation_bound,
     deployment_stats,
     pairwise_displacement_bound,
     plan_gains,
+    weyl_floor_violation,
 )
 
 TABLE_COMMENT = (
@@ -143,12 +143,7 @@ def summarize(log) -> dict:
     plan_dict = None
     if len(log):
         stats0 = deployment_stats(log.p[0])
-        x0 = log.p[0] - log.p[0].mean(axis=0)
-        for k in range(len(log)):
-            xk = log.p[k] - log.p[k].mean(axis=0)
-            eps = float(np.max(np.linalg.norm(xk - x0, axis=1)))
-            floor = stats0.lambda_min - covariance_perturbation_bound(eps, stats0)
-            weyl_worst = max(weyl_worst, floor - float(log.lambda_min[k]))
+        weyl_worst = weyl_floor_violation(log.p, log.lambda_min)
         if stats0.lambda_min > 0 and cfg.trajectory.omega_max_declared >= 0:
             try:
                 plan = plan_gains(

@@ -3,10 +3,18 @@
 N constant-speed unicycle agents track one shared reference attitude.
 Per step: (1) snapshot the swarm, (2) refresh stats and the reference
 (source-seeking recomputes the target heading from the snapshot),
-(3) evaluate every control from the snapshot, (4) apply all agent steps.
-The attitude update is the exact exponential of the commanded rate;
-position uses the body x-axis at the half step, so each agent moves
-exactly speed*dt per step.
+(3) record, (4) evaluate every control from the snapshot, (5) apply all
+agent steps and the reference's designed spin. The attitude update is
+the exact exponential of the commanded rate; position uses the body
+x-axis at the half step, so each agent moves exactly speed*dt per step.
+
+Batch axis: the swarm is an (N, 3) position array and an (N, 3, 3)
+attitude array, one row per agent, and `run` is a loop over the private
+`_step`, which advances all N agents at once. `_step` is assembled from
+`_body_rates`, `_retarget`, `_turn`, `_spin` and `_move`, and the public
+per-step API (`reference_body_rates`, `advance_desired`,
+`complete_frame`, `step_agent`) calls those same functions, so the step
+rule is written once.
 
 Reference-rate conventions (`rate_frame`):
   "literal": the total reference rate R_d^T w_known + w_unknown is an
@@ -17,12 +25,12 @@ Both are supported because published descriptions of this rate law are
 ambiguous; logs record the realized unknown-rate magnitude either way.
 """
 
+import dataclasses
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels as _k
-from .attitude import ControllerConfig
+from .attitude import ControllerConfig, _alignment, _error, _feedforward
 from .deployment import (
     DeploymentStats,
     ascending_direction,
@@ -36,18 +44,11 @@ from .errors import (
     DegenerateDirection,
     NearPiSingularity,
 )
-from .fields import FieldSpec, field_eval
-from .so3 import _arr3, _mat3, is_rotation
+from .fields import FieldSpec
+from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _polar, _vee, is_rotation
 
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
 RATE_FRAMES = ("literal", "body")
-
-_MODE_CODE = {
-    "constant": _k.TRAJ_CONSTANT,
-    "prescribed": _k.TRAJ_PRESCRIBED,
-    "source-seeking": _k.TRAJ_SOURCE,
-}
-_FRAME_CODE = {"literal": _k.RATE_LITERAL, "body": _k.RATE_BODY}
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,10 @@ class DesiredAttitudeTrajectory:
 
     omega_unknown is hidden from controllers; for source-seeking it holds
     the realized heading-correction rate of the last advance. `held` marks
-    steps where a vanishing ascending estimate froze the target heading.
+    steps where a vanishing ascending estimate froze the target heading,
+    or where the target was antipodal and no turn was applied. `target`
+    is the heading the last applied turn aimed at (r_d's first column on
+    construction); a vanishing estimate holds it.
     """
 
     mode: str
@@ -84,6 +88,9 @@ class DesiredAttitudeTrajectory:
     omega_unknown: np.ndarray
     omega_max_declared: float = 0.0
     held: bool = False
+    target: np.ndarray = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.mode not in TRAJECTORY_MODES:
@@ -92,6 +99,7 @@ class DesiredAttitudeTrajectory:
         if not is_rotation(r, tol=1e-6):
             raise ValueError("r_d is not a rotation matrix")
         object.__setattr__(self, "r_d", r)
+        object.__setattr__(self, "target", r[:, 0].copy())
         object.__setattr__(self, "omega_known", _arr3(self.omega_known))
         object.__setattr__(self, "omega_unknown", _arr3(self.omega_unknown))
         if self.omega_max_declared < 0:
@@ -168,6 +176,11 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must be >= dt")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"t_end = {self.t_end} is not a whole number of steps dt = {self.dt}"
+            )
         if not self.speed > 0:
             raise ValueError("speed must be positive")
         if self.gain_mode not in ("manual", "planned"):
@@ -188,6 +201,10 @@ class SimConfig:
             and self.attitudes.matrices.shape[0] != self.n_agents
         ):
             raise ValueError("explicit attitude count does not match n_agents")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -260,13 +277,120 @@ class SimLog:
         return [self[k] for k in range(len(self))]
 
 
+def _body_rates(mode, rate_frame, r_d, w_known, w_unknown):
+    """Body-frame (known, unknown) reference rates; zero in constant mode."""
+    if mode == "constant":
+        return np.zeros(3), np.zeros(3)
+    if rate_frame == "literal":
+        return (w_known @ r_d) @ r_d, w_unknown @ r_d
+    return w_known.copy(), w_unknown.copy()
+
+
+def _spin(mode, r_d, wk, wu, dt):
+    """The reference after its designed rates over dt. Source-seeking
+    spins by the known rate only; its heading turn is `_retarget`."""
+    if mode == "prescribed":
+        return r_d @ _exp(dt * (wk + wu))
+    if mode == "source-seeking":
+        return r_d @ _exp(dt * wk)
+    return r_d
+
+
+def _turn(heading, target):
+    """Minimal rotation taking unit `heading` onto unit `target`, about
+    their mutual normal; None when they are antipodal within 1e-6."""
+    c = heading @ target
+    if c <= -1.0 + 1e-6:
+        return None
+    vh = _hat(_hat(heading) @ target)
+    return vh + (1.0 / (1.0 + c)) * (vh @ vh) + _I3
+
+
+def _retarget(r_d, target, positions, stats, field):
+    """Turn r_d so its first column follows the swarm's ascending estimate.
+
+    Returns (r_d, target, held, tau_c): the turned reference, the heading
+    it now targets, the hold flag and the rotation vector of the applied
+    turn. A vanishing estimate holds the last target; an antipodal target
+    leaves r_d and the target as they were (tau_c = 0).
+    """
+    sigma = field.values(positions)
+    held = False
+    try:
+        ell = ascending_direction(sigma, stats)
+        md = heading_field(ell, eps_norm=1e-9 * (1.0 + float(np.abs(sigma).max())))
+    except DegenerateDirection:
+        held, md = True, target
+    q = _turn(r_d[:, 0], md)
+    if q is None:
+        return r_d, target, True, np.zeros(3)
+    r_new = q @ r_d
+    tau_c, _, _ = _log(r_d.T @ r_new)
+    return r_new, md, held, tau_c
+
+
+def _move(p, r, w, s, dt):
+    """Pose step under body rates w (..., 3) at forward speed s."""
+    e_half = _exp(0.5 * dt * w)
+    r_half = r @ e_half
+    return p + dt * s * r_half[..., :, 0], r_half @ e_half
+
+
+def _diameter(u, block_bytes=1 << 20):
+    """max_{i<j} ||u_i - u_j|| over the rows of u, in row blocks of
+    block_bytes, so the extra memory is O(N) rather than O(N^2)."""
+    n = u.shape[0]
+    rows = max(1, block_bytes // (24 * n))
+    worst = 0.0
+    for i in range(0, n - 1, rows):
+        d = u[i : i + rows, None, :] - u[None, i:, :]
+        worst = max(worst, float((d * d).sum(axis=-1).max()))
+    return np.sqrt(worst)
+
+
+def _step(config, k_w, p0, state, k):
+    """Step k of the closed loop for the whole swarm.
+
+    state is (p (N, 3), r (N, 3, 3), r_d, target). Returns (record, next
+    state, ok): one value per SimLog column for t_k, the state at t_{k+1}
+    (None after the last step or when an agent hit the log singularity)
+    and the per-agent ok mask of the error log.
+    """
+    p, r, r_d, target = state
+    trj, fld, dt = config.trajectory, config.field, config.dt
+    stats = deployment_stats(p)
+    sigma_c = dist = np.nan
+    if fld is not None:
+        sigma_c = fld.values(stats.centroid)
+        dist = np.linalg.norm(stats.centroid - fld.source)
+    held, wu_norm = False, 0.0
+    if trj.mode == "source-seeking":
+        r_d, target, held, tau_c = _retarget(r_d, target, p, stats, fld)
+        if k > 0:
+            wu_norm = np.linalg.norm(tau_c) / dt
+    elif trj.mode == "prescribed":
+        wu_norm = np.linalg.norm(trj.omega_unknown)
+    r_e, tau_e, mu, ok = _error(r_d, r)
+    record = (
+        k * dt, p, r, r_d, mu, _alignment(r[:, :, 0], r_d[:, 0]),
+        stats.lambda_min, sigma_c, dist, _diameter(p - p0), wu_norm, held,
+        wu_norm > trj.omega_max_declared + 1e-12,
+    )
+    if k == config.n_steps or not ok.all():
+        return record, None, ok
+    wk, wu = _body_rates(
+        trj.mode, config.rate_frame, r_d, trj.omega_known, trj.omega_unknown
+    )
+    p, r = _move(p, r, _feedforward(r_e, tau_e, wk, k_w), config.speed, dt)
+    return record, (p, r, _spin(trj.mode, r_d, wk, wu, dt), target), ok
+
+
 def step_agent(state: RobotState, omega, s: float, dt: float) -> RobotState:
     """Advance one agent by dt under skew rate omega at forward speed s."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    w = _k.vee(_mat3(omega))
-    p_new, r_new = _k.step_pose(state.p, state.r, w, s, dt)
-    return RobotState(p=p_new, r=r_new)
+    p, r = _move(state.p, state.r, _vee(_mat3(omega)), s, dt)
+    return RobotState(p=p, r=r)
 
 
 def complete_frame(x_d, prev) -> np.ndarray:
@@ -280,20 +404,17 @@ def complete_frame(x_d, prev) -> np.ndarray:
     if abs(np.linalg.norm(x_d) - 1.0) > 1e-6:
         raise ValueError("x_d must be a unit vector")
     prev = _mat3(prev)
-    q, status = _k.min_rotation_between(np.ascontiguousarray(prev[:, 0]), x_d)
-    if status != _k.OK:
+    q = _turn(prev[:, 0], x_d)
+    if q is None:
         raise AntipodalHeading()
-    return _k.mat3_mul(q, prev)
+    return q @ prev
 
 
 def reference_body_rates(traj: DesiredAttitudeTrajectory, rate_frame: str):
     """Body-frame (known, unknown) rate vectors under the chosen convention."""
-    wk, wu = _k.reference_body_rates(
-        traj.r_d, traj.omega_known, traj.omega_unknown, _FRAME_CODE[rate_frame]
+    return _body_rates(
+        traj.mode, rate_frame, traj.r_d, traj.omega_known, traj.omega_unknown
     )
-    if traj.mode == "constant":
-        wk, wu = np.zeros(3), np.zeros(3)
-    return wk, wu
 
 
 def advance_desired(
@@ -303,48 +424,33 @@ def advance_desired(
     positions=None,
     field: FieldSpec = None,
 ) -> DesiredAttitudeTrajectory:
-    """One reference update, mirroring the simulator's in-loop rule.
+    """One reference update, by the simulator's own step functions.
 
     prescribed: compose by the exponential of the total rate over dt.
     source-seeking: apply the designed known spin, then the minimal
     rotation placing the first column on the fresh target heading computed
     from `positions` and `field`; the realized correction rate is reported
-    in omega_unknown. A vanishing estimate holds the previous heading and
-    sets `held`.
+    in omega_unknown. A vanishing estimate holds the last target heading
+    and sets `held`, as does an antipodal target, which applies no turn.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if traj.mode == "constant":
         return replace(traj, held=False)
     wk, wu = reference_body_rates(traj, rate_frame)
+    r_d = _spin(traj.mode, traj.r_d, wk, wu, dt)
     if traj.mode == "prescribed":
-        r_new = _k.mat3_mul(traj.r_d, _k.rot_exp(dt * (wk + wu)))
-        return replace(traj, r_d=r_new, held=False)
+        return replace(traj, r_d=r_d, held=False)
 
     if positions is None or field is None:
         raise ValueError("source-seeking advance needs positions and a field")
-    stats = deployment_stats(positions)
-    sigma = np.array([field_eval(field, p) for p in np.asarray(positions)])
-    r_spun = _k.mat3_mul(traj.r_d, _k.rot_exp(dt * wk))
-    held = False
-    try:
-        ell = ascending_direction(sigma, stats)
-        md = heading_field(ell, eps_norm=1e-9 * (1.0 + float(np.max(np.abs(sigma)))))
-    except DegenerateDirection:
-        held = True
-        md = traj.r_d[:, 0].copy()
-    try:
-        r_new = complete_frame(md, r_spun)
-    except AntipodalHeading:
-        held = True
-        r_new = r_spun
-    corr = np.ascontiguousarray(r_spun.T) @ r_new
-    _, th_c, _ = _k.rot_log(np.ascontiguousarray(corr))
-    wu_real = np.zeros(3)
-    if th_c > 0:
-        tau_c, _, _ = _k.rot_log(np.ascontiguousarray(corr))
-        wu_real = tau_c / dt
-    return replace(traj, r_d=r_new, omega_unknown=wu_real, held=held)
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    r_d, target, held, tau_c = _retarget(
+        r_d, traj.target, positions, deployment_stats(positions), field
+    )
+    out = replace(traj, r_d=r_d, omega_unknown=tau_c / dt, held=held)
+    object.__setattr__(out, "target", target)
+    return out
 
 
 def _initial_conditions(config: SimConfig):
@@ -372,7 +478,7 @@ def _initial_conditions(config: SimConfig):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             angle = rng.uniform(0.0, config.attitudes.radius)
-            r[i] = r0 @ _k.rot_exp(axis * angle)
+            r[i] = r0 @ _exp(axis * angle)
     return np.ascontiguousarray(p), np.ascontiguousarray(r)
 
 
@@ -404,18 +510,7 @@ def run(config: SimConfig) -> SimLog:
         )
     k_w, plan = resolve_gains(config, stats0)
 
-    n_steps = int(round(config.t_end / config.dt))
-    n = config.n_agents
-    if config.field is not None:
-        f_kind, f_sources, f_amps, f_mats, f_main = config.field.kernel_params()
-    else:
-        f_kind = _k.FIELD_NONE
-        f_sources = np.zeros((1, 3))
-        f_amps = np.zeros(1)
-        f_mats = np.zeros((1, 3, 3))
-        f_main = np.zeros(3)
-
-    m = n_steps + 1
+    n, m = config.n_agents, config.n_steps + 1
     arrays = (
         np.zeros(m),
         np.zeros((m, n, 3)),
@@ -431,64 +526,25 @@ def run(config: SimConfig) -> SimLog:
         np.zeros(m, dtype=np.int8),
         np.zeros(m, dtype=np.int8),
     )
-    (
-        out_t,
-        out_p,
-        out_r,
-        out_rd,
-        out_mu,
-        out_delta,
-        out_lam,
-        out_sigma,
-        out_dist,
-        out_maxdisp,
-        out_wu,
-        out_hold,
-        out_vio,
-    ) = arrays
-
-    status, step, agent = _k.sim_loop(
-        p,
-        r,
-        config.trajectory.r_d,
-        _MODE_CODE[config.trajectory.mode],
-        _FRAME_CODE[config.rate_frame],
-        config.trajectory.omega_known,
-        config.trajectory.omega_unknown,
-        float(config.trajectory.omega_max_declared),
-        f_kind,
-        f_sources,
-        f_amps,
-        f_mats,
-        f_main,
-        float(k_w),
-        float(config.speed),
-        float(config.dt),
-        n_steps,
-        int(config.project_every),
-        out_t,
-        out_p,
-        out_r,
-        out_rd,
-        out_mu,
-        out_delta,
-        out_lam,
-        out_sigma,
-        out_dist,
-        out_maxdisp,
-        out_wu,
-        out_hold,
-        out_vio,
-    )
-    if status == _k.ERR_NEAR_PI:
-        partial = SimLog(
-            config,
-            plan,
-            k_w,
-            tuple(a[:step] for a in arrays),
-            aborted=True,
-            abort_reason=f"attitude error of agent {agent} reached the "
-            f"log singularity at step {step}",
-        )
-        raise NearPiSingularity(partial.abort_reason, partial_log=partial)
+    p0, r_d = p, config.trajectory.r_d
+    state = (p, r, r_d, r_d[:, 0].copy())
+    for k in range(m):
+        record, state, ok = _step(config, k_w, p0, state, k)
+        for column, value in zip(arrays, record):
+            column[k] = value
+        if not ok.all():
+            partial = SimLog(
+                config,
+                plan,
+                k_w,
+                tuple(a[:k] for a in arrays),
+                aborted=True,
+                abort_reason=f"attitude error of agent {int(np.argmin(ok))} reached "
+                f"the log singularity at step {k}",
+            )
+            raise NearPiSingularity(partial.abort_reason, partial_log=partial)
+        every = config.project_every
+        if state is not None and every > 0 and (k + 1) % every == 0:
+            p, r, r_d, target = state
+            state = (p, _polar(r), _polar(r_d), target)
     return SimLog(config, plan, k_w, arrays)

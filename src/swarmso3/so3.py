@@ -4,17 +4,36 @@ Rotations are plain 3x3 numpy arrays (orthonormal, det +1); rotation
 vectors and angular velocities are shape (3,) arrays. Skew matrices are
 the hat form of angular velocity vectors. All functions are pure.
 
+Batch axis: the private array functions (`_hat`, `_vee`, `_exp`, `_log`,
+`_angle`, `_adjoint`, `_polar`) take any leading batch shape, vectors as
+(..., 3) and matrices as (..., 3, 3); the simulator calls them on (N, 3)
+and (N, 3, 3) stacks, one row per agent. Each public function is the
+single-rotation case (empty batch shape) of one of them, with shape
+checks and typed errors added. The closed forms and their small-angle
+series follow Sola et al., "A micro Lie theory for state estimation in
+robotics", arXiv:1812.01537.
+
 Serialization convention for rotations everywhere in this package:
 row-major flattening to 9 values.
 """
 
 import numpy as np
 
-from . import _kernels as _k
 from .errors import NearPiSingularity
 
 # tr(R) <= -1 + this means the principal log is undefined
-TRACE_GUARD = _k.TRACE_GUARD
+TRACE_GUARD = 1e-6
+# below this angle the closed forms switch to 4-term series
+SMALL_ANGLE = 1e-4
+
+_I3 = np.eye(3)
+# vee(S) = S[_ROW, _COL]; vee(R - R^T) = R[_ROW, _COL] - R[_COL, _ROW]
+_ROW, _COL = np.array([2, 0, 1]), np.array([1, 2, 0])
+# hat(v) = (v @ _GEN) reshaped to 3x3: row i is the flattened generator E_i
+_GEN = np.zeros((3, 3, 3))
+_GEN[[0, 1, 2], _ROW, _COL] = 1.0
+_GEN[[0, 1, 2], _COL, _ROW] = -1.0
+_GEN = _GEN.reshape(3, 9)
 
 
 def _arr3(v) -> np.ndarray:
@@ -31,9 +50,82 @@ def _mat3(m) -> np.ndarray:
     return out
 
 
+def _hat(v):
+    return (v @ _GEN).reshape(v.shape + (3,))
+
+
+def _vee(s):
+    return s[..., _ROW, _COL]
+
+
+def _exp(tau):
+    """Rodrigues' formula I + a K + b K^2 with series below SMALL_ANGLE."""
+    t2 = (tau * tau).sum(axis=-1)
+    theta = np.sqrt(t2)
+    small = theta < SMALL_ANGLE
+    if small.any():
+        t4 = t2 * t2
+        t6 = t4 * t2
+        th = np.where(small, 1.0, theta)
+        a_series = 1.0 - t2 / 6.0 + t4 / 120.0 - t6 / 5040.0
+        b_series = 0.5 - t2 / 24.0 + t4 / 720.0 - t6 / 40320.0
+        a = np.where(small, a_series, np.sin(th) / th)
+        b = np.where(small, b_series, (1.0 - np.cos(th)) / (th * th))
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / t2
+    k = _hat(tau)
+    return a[..., None, None] * k + b[..., None, None] * (k @ k) + _I3
+
+
+def _angle(r):
+    """(w, s, theta, ok) of rotations r.
+
+    w = vee(R - R^T) = 2 sin(theta) * axis and s = ||w||; the angle is
+    atan2(s / 2, (tr R - 1) / 2) = atan2(s, tr R - 1), accurate at every
+    angle (arccos of the trace alone loses half the digits near 0). ok
+    is False where tr R <= -1 + TRACE_GUARD and the principal log is
+    undefined.
+    """
+    tr = r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2]
+    w = r[..., _ROW, _COL] - r[..., _COL, _ROW]
+    s = np.sqrt((w * w).sum(axis=-1))
+    theta = np.arctan2(s, tr - 1.0)
+    return w, s, theta, tr > -1.0 + TRACE_GUARD
+
+
+def _log(r):
+    """(tau, theta, ok): principal log as rotation vectors; see `_angle`."""
+    w, s, theta, ok = _angle(r)
+    # theta / s = theta / (2 sin theta); the series also covers s = 0 at
+    # an exact half turn, where ok is False and tau is 0
+    closed = (theta >= SMALL_ANGLE) & (s > 0.0)
+    if closed.all():
+        f = theta / s
+    else:
+        t2 = theta * theta
+        t4 = t2 * t2
+        t6 = t4 * t2
+        series = 0.5 * (1.0 + t2 / 6.0 + 7.0 * t4 / 360.0 + 31.0 * t6 / 15120.0)
+        f = np.where(closed, theta / np.where(closed, s, 1.0), series)
+    return f[..., None] * w, theta, ok
+
+
+def _adjoint(r, s):
+    return r @ s @ np.swapaxes(r, -1, -2)
+
+
+def _polar(m):
+    """Nearest rotations via the orthogonal polar factor."""
+    u, _, vt = np.linalg.svd(m)
+    # flip the weakest singular direction where U V^T is a reflection
+    u[..., :, 2] *= np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)[..., None]
+    return u @ vt
+
+
 def hat(v) -> np.ndarray:
     """Skew matrix of v, satisfying hat(v) @ u = cross(v, u)."""
-    return _k.hat(_arr3(v))
+    return _hat(_arr3(v))
 
 
 def vee(s, tol: float = 1e-9) -> np.ndarray:
@@ -41,12 +133,12 @@ def vee(s, tol: float = 1e-9) -> np.ndarray:
     s = _mat3(s)
     if np.max(np.abs(s + s.T)) > tol:
         raise ValueError("matrix is not skew-symmetric within tolerance")
-    return _k.vee(s)
+    return _vee(s)
 
 
 def exp_so3(tau) -> np.ndarray:
     """Exponential map (Rodrigues' formula) from a rotation vector."""
-    return _k.rot_exp(_arr3(tau))
+    return _exp(_arr3(tau))
 
 
 def log_so3(r) -> np.ndarray:
@@ -55,26 +147,23 @@ def log_so3(r) -> np.ndarray:
     Raises NearPiSingularity when tr(R) <= -1 + 1e-6, where the principal
     log is undefined.
     """
-    tau, _, status = _k.rot_log(_mat3(r))
-    if status != _k.OK:
+    tau, _, ok = _log(_mat3(r))
+    if not ok:
         raise NearPiSingularity()
     return tau
 
 
 def rotation_angle(r) -> float:
     """Rotation angle of R, i.e. its geodesic distance from identity."""
-    theta, status = _k.geodesic_angle(np.eye(3), _mat3(r))
-    if status != _k.OK:
+    _, _, theta, ok = _angle(_mat3(r))
+    if not ok:
         raise NearPiSingularity()
     return float(theta)
 
 
 def dist_geodesic(r1, r2) -> float:
     """Rotation angle between r1 and r2 (the natural SO(3) metric)."""
-    theta, status = _k.geodesic_angle(_mat3(r1), _mat3(r2))
-    if status != _k.OK:
-        raise NearPiSingularity()
-    return float(theta)
+    return rotation_angle(_mat3(r1).T @ _mat3(r2))
 
 
 def dist_log(r1, r2) -> float:
@@ -84,17 +173,19 @@ def dist_log(r1, r2) -> float:
 
 def dist_frobenius(r1, r2) -> float:
     """||r1 - r2||_F, well-defined for every pair (no log involved)."""
-    return float(_k.frobenius_distance(_mat3(r1), _mat3(r2)))
+    d = _mat3(r1) - _mat3(r2)
+    return float(np.sqrt((d * d).sum()))
 
 
 def adjoint_rotate(r, omega) -> np.ndarray:
     """Adjoint action R @ Omega @ R^T (rotation of angular velocity)."""
-    return _k.adjoint(_mat3(r), _mat3(omega))
+    return _adjoint(_mat3(r), _mat3(omega))
 
 
 def lie_bracket(omega1, omega2) -> np.ndarray:
     """Matrix commutator; vee(lie_bracket) = cross(vee(w1), vee(w2))."""
-    return _k.bracket(_mat3(omega1), _mat3(omega2))
+    omega1, omega2 = _mat3(omega1), _mat3(omega2)
+    return omega1 @ omega2 - omega2 @ omega1
 
 
 def exp_coord_derivative(tau, omega) -> np.ndarray:
@@ -103,10 +194,19 @@ def exp_coord_derivative(tau, omega) -> np.ndarray:
     Returns Omega + 1/2 [tau^, Omega] + (1 - a)/theta^2 [tau^, [tau^, Omega]]
     with a = (theta/2) cot(theta/2); equals Omega at tau = 0.
     """
-    out, status = _k.exp_coord_rate(_arr3(tau), _mat3(omega))
-    if status != _k.OK:
+    tau, omega = _arr3(tau), _mat3(omega)
+    theta = float(np.linalg.norm(tau))
+    if theta >= np.pi - TRACE_GUARD:
         raise NearPiSingularity("exponential-coordinate rate undefined near pi")
-    return out
+    if theta < SMALL_ANGLE:
+        t2 = theta * theta
+        coef = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
+    else:
+        half = 0.5 * theta
+        coef = (1.0 - half * np.cos(half) / np.sin(half)) / (theta * theta)
+    th = _hat(tau)
+    ad1 = lie_bracket(th, omega)
+    return omega + 0.5 * ad1 + coef * lie_bracket(th, ad1)
 
 
 def project_to_so3(m, tol: float = 1e-3) -> np.ndarray:
@@ -118,7 +218,7 @@ def project_to_so3(m, tol: float = 1e-3) -> np.ndarray:
     m = _mat3(m)
     if np.linalg.norm(m.T @ m - np.eye(3)) >= tol:
         raise ValueError("input too far from orthonormal to be drift repair")
-    return _k.project_so3(m)
+    return _polar(m)
 
 
 def is_rotation(r, tol: float = 1e-9) -> bool:

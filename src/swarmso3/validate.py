@@ -9,11 +9,7 @@ import numpy as np
 
 from . import so3
 from .attitude import ControllerConfig
-from .deployment import (
-    covariance_perturbation_bound,
-    deployment_stats,
-    pairwise_displacement_bound,
-)
+from .deployment import pairwise_displacement_bound, weyl_floor_violation
 from .fields import FieldSpec, field_eval, field_gradient
 from .sim import (
     AttitudeInitSpec,
@@ -123,14 +119,7 @@ def _closed_loop_log(n_steps_scale=1.0):
 
 def check_weyl_chain(log):
     """lambda_min(P(t)) >= lambda_min(P(0)) - (2 D0 e + e^2) every step."""
-    stats0 = deployment_stats(log.p[0])
-    x0 = log.p[0] - log.p[0].mean(axis=0)
-    worst = float("-inf")
-    for k in range(len(log)):
-        xk = log.p[k] - log.p[k].mean(axis=0)
-        eps = float(np.max(np.linalg.norm(xk - x0, axis=1)))
-        floor = stats0.lambda_min - covariance_perturbation_bound(eps, stats0)
-        worst = max(worst, floor - float(log.lambda_min[k]))
+    worst = weyl_floor_violation(log.p, log.lambda_min)
     return ("covariance eigenvalue floor", len(log), worst, 1e-9, worst <= 1e-9)
 
 

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per exit criterion, at pinned tolerances.
 
 Criteria run against the shipped scenario files wherever one exists, so
-they exercise exactly what the CLI ships. The first fixture warms the
-jitted kernels so timed criteria measure the run, not compilation.
+they exercise exactly what the CLI ships.
 """
 
 import time
@@ -45,23 +44,6 @@ def random_rotvec(rng, max_angle):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     return axis * rng.uniform(0.0, max_angle)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    cfg = SimConfig(
-        n_agents=2, speed=1.0, dt=0.01, t_end=0.05, seed=0,
-        controller=ControllerConfig(k_w=1.0, delta_star=0.4),
-        trajectory=DesiredAttitudeTrajectory(
-            mode="source-seeking", r_d=np.eye(3),
-            omega_known=[0.1, 0, 0], omega_unknown=[0, 0, 0],
-            omega_max_declared=0.1,
-        ),
-        placement=PlacementSpec(kind="ball", radius=1.0),
-        attitudes=AttitudeInitSpec(kind="ball", radius=0.5),
-        field=FieldSpec(kind="gaussian", source=[5.0, 0.0, 0.0], amplitude=1.0, width=10.0),
-    )
-    run(cfg)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from swarmso3 import (
     pairwise_displacement_bound,
     plan_gains,
 )
-from swarmso3._kernels import eig3_sym
 
 RNG = np.random.default_rng(33)
 
@@ -173,20 +172,3 @@ def test_epsilon_max_is_root_of_perturbation_bound():
             st.lambda_min, abs=1e-12
         )
 
-
-def test_eig3_sym_against_lapack():
-    for _ in range(300):
-        m = RNG.normal(size=(3, 3))
-        a = (m + m.T) / 2
-        ours = eig3_sym(np.ascontiguousarray(a))
-        ref = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(ours - ref)) < 1e-10 * max(1.0, np.abs(ref).max())
-
-
-def test_eig3_sym_repeated_eigenvalues():
-    assert np.allclose(eig3_sym(np.eye(3) * 2.5), [2.5, 2.5, 2.5])
-    q, _ = np.linalg.qr(RNG.normal(size=(3, 3)))
-    a = q @ np.diag([1.0, 1.0 + 1e-12, 2.0]) @ q.T
-    a = np.ascontiguousarray((a + a.T) / 2)
-    ref = np.linalg.eigvalsh(a)
-    assert np.max(np.abs(eig3_sym(a) - ref)) < 1e-10

@@ -150,6 +150,12 @@ def test_cli_unknown_scenario_exits_2(capsys):
     assert main(["gains", "no_such_scenario"]) == 2
 
 
+def test_cli_partial_last_step_exits_2(tmp_path, capsys):
+    # t_end = 20 is not a whole number of 0.3 steps: refuse, do not round
+    assert main(["simulate", "fig2", "--out", str(tmp_path), "--dt", "0.3"]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+
+
 def test_rate_frame_override_changes_dynamics(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "fig2", "--out", str(out1), "--dt", "0.05"]) == 0

@@ -137,6 +137,14 @@ def test_dist_geodesic_basic_properties():
     )
 
 
+@pytest.mark.parametrize("theta", [1e-4, 1e-6, 1e-8])
+def test_small_angles_to_full_relative_precision(theta):
+    r = exp_so3([theta, 0.0, 0.0])
+    assert abs(dist_geodesic(np.eye(3), r) - theta) < 1e-12 * theta
+    assert abs(np.linalg.norm(log_so3(r)) - theta) < 1e-12 * theta
+    assert dist_frobenius(np.eye(3), r) <= dist_log(np.eye(3), r)
+
+
 def test_dist_log_is_sqrt2_times_geodesic():
     for _ in range(200):
         r1 = exp_so3(random_rotvec(RNG, np.pi - 0.05))

@@ -7,7 +7,7 @@ from swarmso3 import (
     hat,
     step_agent,
 )
-from swarmso3.validate import run_all
+from swarmso3.validate import check_metric_ordering, run_all
 
 
 def test_run_all_quick_passes():
@@ -16,6 +16,13 @@ def test_run_all_quick_passes():
     names = [r[0] for r in results]
     assert "exp/log roundtrip" in names
     assert "pairwise displacement bound" in names
+
+
+def test_metric_ordering_holds_at_small_angles():
+    # seed 1 draws relative rotations below 1e-4 rad, where an arccos of
+    # the trace was off by ~1e-11 against the check's 1e-12 tolerance
+    name, _, worst, tol, passed = check_metric_ordering(10000, np.random.default_rng(1))
+    assert passed, (name, worst, tol)
 
 
 def _tracking_slope(ff_sign):

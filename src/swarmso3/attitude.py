@@ -57,8 +57,9 @@ class ControllerConfig:
     mu_star: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.mu_star is None:
-            object.__setattr__(self, "mu_star", self.delta_star)
+        object.__setattr__(self, "delta_star", float(self.delta_star))
+        mu_star = self.delta_star if self.mu_star is None else self.mu_star
+        object.__setattr__(self, "mu_star", float(mu_star))
         if self.k_w is not None and not self.k_w > 0:
             raise ValueError("k_w must be positive")
         if not (0 < self.mu_star <= self.delta_star <= np.pi):
@@ -78,9 +79,15 @@ def _feedforward(r_e, tau_e, w_known, k_w):
     return -k_w * tau_e + w_known @ r_e
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _alignment(x_b, m_d):
-    """Great-circle angles between headings x_b (..., 3) and one m_d."""
-    return np.arccos(np.clip(x_b @ m_d, -1.0, 1.0))
+    """Great-circle angles between headings x_b (..., 3) and one m_d, as
+    atan2(|x_b x m_d|, x_b . m_d), which keeps full precision near 0. The
+    cross product is formed elementwise, so it is exactly 0 for x_b = m_d."""
+    cross = x_b[..., _NEXT] * m_d[_PREV] - x_b[..., _PREV] * m_d[_NEXT]
+    return np.arctan2(np.linalg.norm(cross, axis=-1), x_b @ m_d)
 
 
 def attitude_error(r_d, r) -> AttitudeError:

@@ -35,7 +35,8 @@ class FieldSpec:
     """One scalar field: kind, source location, and shape parameters.
 
     gaussian:          amplitude * exp(-1/2 d^T W^-1 d), W the width matrix
-    quadratic:         amplitude - d^T Q d, positive for ||d|| <= domain_radius
+    quadratic:         amplitude - d^T Q d, positive for ||d|| <= domain_radius;
+                       curvature Q is a scalar c (Q = c I), per-axis, or 3x3
     sum_of_gaussians:  sum of gaussian components; unique max at `source`
                        is checked numerically on a coarse grid
     """
@@ -60,7 +61,7 @@ class FieldSpec:
         object.__setattr__(self, "source", src)
 
         if self.kind == "gaussian":
-            if self.amplitude <= 0:
+            if not self.amplitude > 0:
                 raise ValueError("amplitude must be positive")
             w = _width_matrix(self.width if self.width is not None else 1.0)
             object.__setattr__(self, "width", w)
@@ -72,15 +73,19 @@ class FieldSpec:
                 self.curvature if self.curvature is not None else np.eye(3),
                 dtype=np.float64,
             )
-            if q.shape == (3,):
+            if q.ndim == 0:
+                q = q * np.eye(3)
+            elif q.shape == (3,):
                 q = np.diag(q)
+            elif q.shape != (3, 3):
+                raise ValueError("curvature must be a scalar, (3,) or (3, 3)")
             q = 0.5 * (q + q.T)
             if np.min(np.linalg.eigvalsh(q)) <= 0:
                 raise ValueError("curvature matrix must be positive definite")
-            if self.domain_radius <= 0:
+            if not self.domain_radius > 0:
                 raise ValueError("quadratic kind needs a positive domain_radius")
             lam_max = float(np.max(np.linalg.eigvalsh(q)))
-            if self.amplitude - lam_max * self.domain_radius**2 <= 0:
+            if not self.amplitude - lam_max * self.domain_radius**2 > 0:
                 raise ValueError(
                     "amplitude too small: field not positive on the declared domain"
                 )
@@ -94,8 +99,10 @@ class FieldSpec:
             rows, amps_l, mats_l = [], [], []
             for comp in self.components:
                 c_src = np.asarray(comp["source"], dtype=np.float64)
+                if c_src.shape != (3,) or not np.all(np.isfinite(c_src)):
+                    raise ValueError("component sources must be finite 3-vectors")
                 c_amp = float(comp["amplitude"])
-                if c_amp <= 0:
+                if not c_amp > 0:
                     raise ValueError("component amplitudes must be positive")
                 c_w = _width_matrix(comp.get("width", 1.0))
                 rows.append(c_src)

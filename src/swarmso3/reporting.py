@@ -43,38 +43,38 @@ def table_columns(n_agents: int) -> list:
     return cols
 
 
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    return repr(float(v))
+def _rows(log):
+    """The step table's lines: the comment and header, then one row per
+    step, each float as its repr (nan as "nan")."""
+    n = log.config.n_agents
+    yield TABLE_COMMENT + ",".join(table_columns(n)) + "\n"
+    tail = np.column_stack(
+        (
+            log.lambda_min,
+            log.sigma_centroid,
+            log.dist_to_source,
+            log.max_pair_disp,
+            log.unknown_rate,
+        )
+    ).tolist()
+    flags = zip(log.hold_flag.tolist(), log.rate_violation.tolist())
+    for k, (t, (hold, violation)) in enumerate(zip(log.t.tolist(), flags)):
+        agents = np.concatenate(
+            (log.p[k], log.r[k].reshape(n, 9), log.mu[k, :, None], log.delta[k, :, None]),
+            axis=1,
+        )
+        values = [t, *agents.ravel().tolist(), *tail[k]]
+        yield f"{','.join(map(repr, values))},{hold},{violation}\n"
 
 
 def step_table_text(log) -> str:
     """Render a SimLog to CSV text (byte-deterministic)."""
-    n = log.config.n_agents
-    lines = [TABLE_COMMENT + ",".join(table_columns(n))]
-    for k in range(len(log)):
-        row = [_fmt(log.t[k])]
-        for i in range(n):
-            row += [_fmt(v) for v in log.p[k, i]]
-            row += [_fmt(v) for v in log.r[k, i].reshape(9)]
-            row += [_fmt(log.mu[k, i]), _fmt(log.delta[k, i])]
-        row += [
-            _fmt(log.lambda_min[k]),
-            _fmt(log.sigma_centroid[k]),
-            _fmt(log.dist_to_source[k]),
-            _fmt(log.max_pair_disp[k]),
-            _fmt(log.unknown_rate[k]),
-            str(int(log.hold_flag[k])),
-            str(int(log.rate_violation[k])),
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "".join(_rows(log))
 
 
 def write_step_table(log, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(step_table_text(log))
+        fh.writelines(_rows(log))
 
 
 def fit_decay_slope(t, mu, lo: float, hi: float):

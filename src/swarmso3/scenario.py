@@ -1,297 +1,145 @@
-"""Scenario files: a strict, flat YAML schema mirroring SimConfig.
+"""Scenario files: a strict YAML schema for SimConfig.
 
-Unknown keys are rejected. Parsing normalizes (fills defaults); emitting
-writes a canonical key order, so parse -> emit is idempotent after the
-first normalization. Rotations serialize as 9 row-major values.
+`parse_scenario` checks only the shape of the mapping: the allowed and
+required keys of each block and the YAML type of each value. It then
+builds the config once, so a file parses exactly when
+`scenario_to_config` builds it; every default and every value check
+lives in the config dataclasses. A null value means the key is absent,
+except for `width`, `curvature`, `positions`, `matrices` and the blocks,
+which must not be null (`field: null` means no field). Rotations are 9
+row-major values or a 3x3 nested list.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
 from .attitude import ControllerConfig
 from .errors import ScenarioError
-from .fields import KINDS as FIELD_KINDS
 from .fields import FieldSpec
-from .sim import (
-    AttitudeInitSpec,
-    DesiredAttitudeTrajectory,
-    PlacementSpec,
-    RATE_FRAMES,
-    SimConfig,
-    TRAJECTORY_MODES,
-)
-from .so3 import rotation_from_flat, rotation_to_flat
-
-_IDENTITY9 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+from .sim import AttitudeInitSpec, DesiredAttitudeTrajectory, PlacementSpec, SimConfig
 
 
-def _fail(path, msg):
-    raise ScenarioError(f"{path}: {msg}")
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _expect_map(val, path):
-    if not isinstance(val, dict):
-        _fail(path, f"expected a mapping, got {type(val).__name__}")
-    return val
+def _is_array(v):
+    return _is_number(v) or isinstance(v, list) and all(_is_array(x) for x in v)
 
 
-def _check_keys(d, allowed, path):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        _fail(path, f"unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+# leaf types: (what the value must be, test)
+NUMBER = ("a number", lambda v: v is None or _is_number(v))
+INTEGER = ("an integer", lambda v: v is None or isinstance(v, int) and not isinstance(v, bool))
+STRING = ("a string", lambda v: v is None or isinstance(v, str))
+LIST = ("a (nested) list of numbers", lambda v: v is None or isinstance(v, list) and _is_array(v))
+ARRAY = ("a number or a (nested) list of numbers", _is_array)
 
 
-def _number(d, key, path, default=None, required=False, positive=False, nonneg=False):
-    if key not in d or d[key] is None:
-        if required:
-            _fail(path, f"missing required key '{key}'")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-    v = float(v)
-    if positive and not v > 0:
-        _fail(f"{path}.{key}", "must be > 0")
-    if nonneg and v < 0:
-        _fail(f"{path}.{key}", "must be >= 0")
-    return v
+@dataclass(frozen=True)
+class _Block:
+    """A mapping: key -> leaf type, _Block or [_Block] (a list of them)."""
+
+    keys: dict
+    required: tuple = ()
+    by_kind: dict = field(default_factory=dict)  # kind -> more required keys
+    nullable: bool = False
 
 
-def _integer(d, key, path, default=None, required=False, minimum=None):
-    if key not in d or d[key] is None:
-        if required:
-            _fail(path, f"missing required key '{key}'")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"expected an integer, got {type(v).__name__}")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}")
-    return v
-
-
-def _string(d, key, path, default=None, required=False, choices=None):
-    if key not in d or d[key] is None:
-        if required:
-            _fail(path, f"missing required key '{key}'")
-        return default
-    v = d[key]
-    if not isinstance(v, str):
-        _fail(f"{path}.{key}", f"expected a string, got {type(v).__name__}")
-    if choices is not None and v not in choices:
-        _fail(f"{path}.{key}", f"must be one of {list(choices)}")
-    return v
-
-
-def _vec3(d, key, path, default=None, required=False):
-    if key not in d or d[key] is None:
-        if required:
-            _fail(path, f"missing required key '{key}'")
-        return None if default is None else list(default)
-    v = d[key]
-    if not isinstance(v, list) or len(v) != 3:
-        _fail(f"{path}.{key}", "expected a list of 3 numbers")
-    out = []
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            _fail(f"{path}.{key}", "expected a list of 3 numbers")
-        out.append(float(x))
-    return out
-
-
-def _rotation9(d, key, path, default=None):
-    if key not in d or d[key] is None:
-        return None if default is None else list(default)
-    v = d[key]
-    if isinstance(v, list) and len(v) == 3 and all(isinstance(r, list) for r in v):
-        v = [x for row in v for x in row]
-    if not isinstance(v, list) or len(v) != 9:
-        _fail(f"{path}.{key}", "expected 9 row-major values (or a 3x3 nested list)")
-    try:
-        r = rotation_from_flat([float(x) for x in v])
-    except ValueError as exc:
-        _fail(f"{path}.{key}", str(exc))
-    return rotation_to_flat(r)
-
-
-def _shape_matrix(v, path):
-    """Width/curvature input: scalar, per-axis 3-list, or 3x3 nested list."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    if isinstance(v, list) and len(v) == 3:
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-            return [float(x) for x in v]
-        if all(isinstance(r, list) and len(r) == 3 for r in v):
-            return [[float(x) for x in r] for r in v]
-    _fail(path, "must be a number, a 3-list, or a 3x3 nested list")
-
-
-def _field_block(d, path):
-    _expect_map(d, path)
-    _check_keys(
-        d,
-        (
-            "kind",
-            "source",
-            "amplitude",
-            "width",
-            "curvature",
-            "domain_radius",
-            "components",
+_COMPONENT = _Block({"source": LIST, "amplitude": NUMBER, "width": ARRAY}, ("source", "amplitude"))
+SCHEMA = _Block(
+    {
+        "name": STRING,
+        "description": STRING,
+        "agents": INTEGER,
+        "speed": NUMBER,
+        "dt": NUMBER,
+        "t_end": NUMBER,
+        "seed": INTEGER,
+        "gain_mode": STRING,
+        "rate_frame": STRING,
+        "project_every": INTEGER,
+        "controller": _Block({"k_w": NUMBER, "mu_star": NUMBER, "delta_star": NUMBER}),
+        "trajectory": _Block(
+            {
+                "mode": STRING,
+                "r_d0": LIST,
+                "omega_known": LIST,
+                "omega_unknown": LIST,
+                "omega_max": NUMBER,
+            },
+            ("mode",),
         ),
-        path,
-    )
-    kind = _string(d, "kind", path, required=True, choices=FIELD_KINDS)
-    out = {
-        "kind": kind,
-        "source": _vec3(d, "source", path, required=True),
-        "amplitude": _number(d, "amplitude", path, default=1.0, positive=True),
-    }
-    if kind == "gaussian":
-        out["width"] = _shape_matrix(d.get("width", 1.0), f"{path}.width")
-    elif kind == "quadratic":
-        c = d.get("curvature")
-        if c is None:
-            _fail(path, "quadratic field needs 'curvature'")
-        out["curvature"] = _shape_matrix(c, f"{path}.curvature")
-        out["domain_radius"] = _number(d, "domain_radius", path, required=True, positive=True)
-    else:
-        comps = d.get("components")
-        if not isinstance(comps, list) or not comps:
-            _fail(path, "sum_of_gaussians needs a non-empty 'components' list")
-        norm_comps = []
-        for idx, comp in enumerate(comps):
-            cpath = f"{path}.components[{idx}]"
-            _expect_map(comp, cpath)
-            _check_keys(comp, ("source", "amplitude", "width"), cpath)
-            norm_comps.append(
-                {
-                    "source": _vec3(comp, "source", cpath, required=True),
-                    "amplitude": _number(comp, "amplitude", cpath, required=True, positive=True),
-                    "width": _shape_matrix(comp.get("width", 1.0), f"{cpath}.width"),
-                }
-            )
-        out["components"] = norm_comps
-    return out
-
-
-TOP_KEYS = (
-    "name",
-    "description",
-    "agents",
-    "speed",
-    "dt",
-    "t_end",
-    "seed",
-    "gain_mode",
-    "rate_frame",
-    "project_every",
-    "controller",
-    "trajectory",
-    "placement",
-    "attitudes",
-    "field",
+        "placement": _Block(
+            {"kind": STRING, "positions": ARRAY, "center": LIST, "radius": NUMBER},
+            ("kind",),
+            {"ball": ("radius",)},
+        ),
+        "attitudes": _Block({"kind": STRING, "radius": NUMBER, "matrices": ARRAY}),
+        "field": _Block(
+            {
+                "kind": STRING,
+                "source": LIST,
+                "amplitude": NUMBER,
+                "width": ARRAY,
+                "curvature": ARRAY,
+                "domain_radius": NUMBER,
+                "components": [_COMPONENT],
+            },
+            ("kind", "source"),
+            {"quadratic": ("curvature",)},
+            nullable=True,
+        ),
+    },
+    ("name", "agents", "speed", "dt", "t_end", "seed", "controller", "trajectory", "placement"),
 )
+
+
+def _check(value, spec, path):
+    """Raise ScenarioError unless value has the shape spec describes."""
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ScenarioError(f"{path}: expected a list, got {type(value).__name__}")
+        for i, item in enumerate(value):
+            _check(item, spec[0], f"{path}[{i}]")
+    elif isinstance(spec, tuple):
+        what, test = spec
+        if not test(value):
+            raise ScenarioError(f"{path}: expected {what}, got {value!r:.60}")
+    elif not (value is None and spec.nullable):
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{path}: expected a mapping, got {type(value).__name__}")
+        unknown = set(value) - set(spec.keys)
+        if unknown:
+            raise ScenarioError(
+                f"{path}: unknown keys {sorted(unknown)} (allowed: {sorted(spec.keys)})"
+            )
+        for key, item in value.items():
+            _check(item, spec.keys[key], f"{path}.{key}")
+        for key in spec.required + spec.by_kind.get(value.get("kind"), ()):
+            if value.get(key) is None:
+                raise ScenarioError(f"{path}: missing required key '{key}'")
+
+
+def _checked(raw) -> dict:
+    """parse_scenario after the YAML load: check the shape, then build."""
+    _check(raw, SCHEMA, "scenario")
+    try:
+        scenario_to_config(raw)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    return raw
 
 
 def parse_scenario(text: str) -> dict:
-    """Parse and normalize scenario YAML; raises ScenarioError on defects."""
+    """Parse scenario YAML into its mapping; raises ScenarioError unless
+    the mapping has the schema's shape and builds a SimConfig."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"not valid YAML: {exc}") from exc
-    raw = _expect_map(raw, "scenario")
-    _check_keys(raw, TOP_KEYS, "scenario")
-
-    data = {
-        "name": _string(raw, "name", "scenario", required=True),
-        "description": _string(raw, "description", "scenario", default=""),
-        "agents": _integer(raw, "agents", "scenario", required=True, minimum=1),
-        "speed": _number(raw, "speed", "scenario", required=True, positive=True),
-        "dt": _number(raw, "dt", "scenario", required=True, positive=True),
-        "t_end": _number(raw, "t_end", "scenario", required=True, positive=True),
-        "seed": _integer(raw, "seed", "scenario", required=True, minimum=0),
-        "gain_mode": _string(
-            raw, "gain_mode", "scenario", default="manual", choices=("manual", "planned")
-        ),
-        "rate_frame": _string(
-            raw, "rate_frame", "scenario", default="literal", choices=RATE_FRAMES
-        ),
-        "project_every": _integer(raw, "project_every", "scenario", default=1000, minimum=0),
-    }
-
-    ctl = _expect_map(raw.get("controller", {}), "controller")
-    _check_keys(ctl, ("k_w", "mu_star", "delta_star"), "controller")
-    data["controller"] = {
-        "k_w": _number(ctl, "k_w", "controller", positive=True),
-        "mu_star": _number(ctl, "mu_star", "controller", positive=True),
-        "delta_star": _number(ctl, "delta_star", "controller", positive=True),
-    }
-    if data["gain_mode"] == "manual" and data["controller"]["k_w"] is None:
-        _fail("controller", "manual gain mode requires controller.k_w")
-    if data["controller"]["mu_star"] is None and data["controller"]["delta_star"] is None:
-        _fail("controller", "need mu_star and/or delta_star")
-
-    trj = _expect_map(raw.get("trajectory", {}), "trajectory")
-    _check_keys(
-        trj,
-        ("mode", "r_d0", "omega_known", "omega_unknown", "omega_max"),
-        "trajectory",
-    )
-    data["trajectory"] = {
-        "mode": _string(trj, "mode", "trajectory", required=True, choices=TRAJECTORY_MODES),
-        "r_d0": _rotation9(trj, "r_d0", "trajectory", default=_IDENTITY9),
-        "omega_known": _vec3(trj, "omega_known", "trajectory", default=(0.0, 0.0, 0.0)),
-        "omega_unknown": _vec3(trj, "omega_unknown", "trajectory", default=(0.0, 0.0, 0.0)),
-        "omega_max": _number(trj, "omega_max", "trajectory", default=0.0, nonneg=True),
-    }
-    if data["trajectory"]["mode"] == "constant":
-        for key in ("omega_known", "omega_unknown"):
-            if any(v != 0.0 for v in data["trajectory"][key]):
-                _fail("trajectory", f"constant mode requires zero {key}")
-
-    plc = _expect_map(raw.get("placement", {}), "placement")
-    _check_keys(plc, ("kind", "positions", "center", "radius"), "placement")
-    p_kind = _string(plc, "kind", "placement", required=True, choices=("explicit", "ball"))
-    placement = {"kind": p_kind, "center": _vec3(plc, "center", "placement", default=(0.0, 0.0, 0.0))}
-    if p_kind == "explicit":
-        pos = plc.get("positions")
-        if not isinstance(pos, list) or not pos:
-            _fail("placement", "explicit placement needs a 'positions' list")
-        rows = []
-        for idx, row in enumerate(pos):
-            rows.append(_vec3({"p": row}, "p", f"placement.positions[{idx}]", required=True))
-        if len(rows) != data["agents"]:
-            _fail("placement", f"{len(rows)} positions for {data['agents']} agents")
-        placement["positions"] = rows
-    else:
-        placement["radius"] = _number(plc, "radius", "placement", required=True, positive=True)
-    data["placement"] = placement
-
-    att = _expect_map(raw.get("attitudes", {"kind": "aligned"}), "attitudes")
-    _check_keys(att, ("kind", "radius", "matrices"), "attitudes")
-    a_kind = _string(att, "kind", "attitudes", default="aligned", choices=("aligned", "ball", "explicit"))
-    attitudes = {"kind": a_kind}
-    if a_kind == "ball":
-        attitudes["radius"] = _number(att, "radius", "attitudes", required=True, positive=True)
-        if not attitudes["radius"] < np.pi:
-            _fail("attitudes", "ball radius must be < pi")
-    elif a_kind == "explicit":
-        mats = att.get("matrices")
-        if not isinstance(mats, list) or len(mats) != data["agents"]:
-            _fail("attitudes", "explicit attitudes need one 9-value matrix per agent")
-        attitudes["matrices"] = [
-            _rotation9({"m": m}, "m", f"attitudes.matrices[{i}]") for i, m in enumerate(mats)
-        ]
-    data["attitudes"] = attitudes
-
-    if raw.get("field") is not None:
-        data["field"] = _field_block(raw["field"], "field")
-    else:
-        data["field"] = None
-    if data["trajectory"]["mode"] == "source-seeking" and data["field"] is None:
-        _fail("scenario", "source-seeking mode requires a field")
-    return data
+    return _checked(raw)
 
 
 def load_scenario(path) -> dict:
@@ -299,72 +147,38 @@ def load_scenario(path) -> dict:
         return parse_scenario(fh.read())
 
 
-def emit_scenario(data: dict) -> str:
-    """Canonical YAML for a normalized scenario dict."""
-    ordered = {key: data[key] for key in TOP_KEYS if key in data}
-    return yaml.safe_dump(ordered, sort_keys=False, default_flow_style=None)
+def _given(block, **renames):
+    """The keys a block sets, as keyword arguments (null means absent)."""
+    return {renames.get(k, k): v for k, v in block.items() if v is not None}
+
+
+def _rotations(v):
+    """Rotations given as 9 row-major values or 3x3 nested lists."""
+    a = np.asarray(v, dtype=np.float64)
+    return a.reshape(a.shape[:-1] + (3, 3)) if a.shape[-1:] == (9,) else a
 
 
 def scenario_to_config(data: dict) -> SimConfig:
-    """Build a SimConfig from a normalized scenario dict."""
-    ctl = data["controller"]
-    controller = ControllerConfig(
-        k_w=ctl["k_w"],
-        delta_star=ctl["delta_star"] if ctl["delta_star"] is not None else ctl["mu_star"],
-        mu_star=ctl["mu_star"],
-    )
-    trj = data["trajectory"]
-    trajectory = DesiredAttitudeTrajectory(
-        mode=trj["mode"],
-        r_d=rotation_from_flat(trj["r_d0"]),
-        omega_known=trj["omega_known"],
-        omega_unknown=trj["omega_unknown"],
-        omega_max_declared=trj["omega_max"],
-    )
-    plc = data["placement"]
-    if plc["kind"] == "explicit":
-        placement = PlacementSpec(kind="explicit", positions=np.array(plc["positions"]), center=plc["center"])
-    else:
-        placement = PlacementSpec(kind="ball", radius=plc["radius"], center=plc["center"])
-    att = data["attitudes"]
-    if att["kind"] == "ball":
-        attitudes = AttitudeInitSpec(kind="ball", radius=att["radius"])
-    elif att["kind"] == "explicit":
-        attitudes = AttitudeInitSpec(
-            kind="explicit",
-            matrices=np.array([np.array(m).reshape(3, 3) for m in att["matrices"]]),
-        )
-    else:
-        attitudes = AttitudeInitSpec(kind="aligned")
-    fld = None
-    if data["field"] is not None:
-        f = dict(data["field"])
-        kind = f.pop("kind")
-        if kind == "sum_of_gaussians":
-            fld = FieldSpec(kind=kind, source=f["source"], components=tuple(f["components"]))
-        elif kind == "quadratic":
-            fld = FieldSpec(
-                kind=kind,
-                source=f["source"],
-                amplitude=f["amplitude"],
-                curvature=np.array(f["curvature"], dtype=float),
-                domain_radius=f["domain_radius"],
-            )
-        else:
-            fld = FieldSpec(kind=kind, source=f["source"], amplitude=f["amplitude"], width=np.array(f["width"], dtype=float) if not isinstance(f["width"], (int, float)) else f["width"])
-    return SimConfig(
-        n_agents=data["agents"],
-        speed=data["speed"],
-        dt=data["dt"],
-        t_end=data["t_end"],
-        seed=data["seed"],
-        controller=controller,
-        trajectory=trajectory,
-        placement=placement,
-        attitudes=attitudes,
-        field=fld,
-        gain_mode=data["gain_mode"],
-        rate_frame=data["rate_frame"],
-        project_every=data["project_every"],
-        name=data["name"],
-    )
+    """Build a SimConfig from a scenario mapping; the config classes raise
+    ValueError for a value they reject."""
+    cfg = _given(data, agents="n_agents")
+    cfg.pop("description", None)
+    ctl = _given(cfg["controller"])
+    if "delta_star" not in ctl:  # scenario files default delta_star to mu_star
+        if "mu_star" not in ctl:
+            raise ValueError("controller: need mu_star and/or delta_star")
+        ctl["delta_star"] = ctl["mu_star"]
+    cfg["controller"] = ControllerConfig(**ctl)
+    trj = _given(cfg["trajectory"], r_d0="r_d", omega_max="omega_max_declared")
+    if "r_d" in trj:
+        trj["r_d"] = _rotations(trj["r_d"])
+    cfg["trajectory"] = DesiredAttitudeTrajectory(**trj)
+    cfg["placement"] = PlacementSpec(**_given(cfg["placement"]))
+    if "attitudes" in cfg:
+        att = _given(cfg["attitudes"])
+        if "matrices" in att:
+            att["matrices"] = _rotations(att["matrices"])
+        cfg["attitudes"] = AttitudeInitSpec(**att)
+    if "field" in cfg:
+        cfg["field"] = FieldSpec(**_given(cfg["field"]))
+    return SimConfig(**cfg)

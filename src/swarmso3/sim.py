@@ -79,13 +79,14 @@ class DesiredAttitudeTrajectory:
     steps where a vanishing ascending estimate froze the target heading,
     or where the target was antipodal and no turn was applied. `target`
     is the heading the last applied turn aimed at (r_d's first column on
-    construction); a vanishing estimate holds it.
+    construction); a vanishing estimate holds it. The constant mode
+    takes zero rates.
     """
 
     mode: str
-    r_d: np.ndarray
-    omega_known: np.ndarray
-    omega_unknown: np.ndarray
+    r_d: np.ndarray = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # type: ignore[assignment]
+    omega_known: np.ndarray = (0.0, 0.0, 0.0)  # type: ignore[assignment]
+    omega_unknown: np.ndarray = (0.0, 0.0, 0.0)  # type: ignore[assignment]
     omega_max_declared: float = 0.0
     held: bool = False
     target: np.ndarray = dataclasses.field(
@@ -102,7 +103,9 @@ class DesiredAttitudeTrajectory:
         object.__setattr__(self, "target", r[:, 0].copy())
         object.__setattr__(self, "omega_known", _arr3(self.omega_known))
         object.__setattr__(self, "omega_unknown", _arr3(self.omega_unknown))
-        if self.omega_max_declared < 0:
+        if self.mode == "constant" and (self.omega_known.any() or self.omega_unknown.any()):
+            raise ValueError("constant mode requires zero omega_known and omega_unknown")
+        if not self.omega_max_declared >= 0:
             raise ValueError("omega_max_declared must be >= 0")
 
 
@@ -124,7 +127,7 @@ class PlacementSpec:
             if pos.ndim != 2 or pos.shape[1] != 3:
                 raise ValueError("explicit placement needs an (N, 3) position list")
             object.__setattr__(self, "positions", pos)
-        elif self.radius <= 0:
+        elif not self.radius > 0:
             raise ValueError("ball placement needs a positive radius")
 
 
@@ -132,7 +135,7 @@ class PlacementSpec:
 class AttitudeInitSpec:
     """Initial attitudes: aligned with the reference, a seeded geodesic
     ball around it (axis uniform on the sphere, angle uniform in
-    [0, radius]), or explicit matrices."""
+    [0, radius]), or explicit rotation matrices."""
 
     kind: str = "aligned"
     radius: float = 0.0
@@ -147,6 +150,9 @@ class AttitudeInitSpec:
             mats = np.ascontiguousarray(self.matrices, dtype=np.float64)
             if mats.ndim != 3 or mats.shape[1:] != (3, 3):
                 raise ValueError("explicit attitudes need an (N, 3, 3) array")
+            for i, m in enumerate(mats):
+                if not is_rotation(m, tol=1e-6):
+                    raise ValueError(f"explicit attitude {i} is not a rotation")
             object.__setattr__(self, "matrices", mats)
 
 
@@ -170,8 +176,12 @@ class SimConfig:
     name: str = ""
 
     def __post_init__(self):
+        for name in ("speed", "dt", "t_end"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
@@ -189,6 +199,8 @@ class SimConfig:
             raise ValueError("manual gain mode requires controller.k_w")
         if self.rate_frame not in RATE_FRAMES:
             raise ValueError(f"unknown rate frame {self.rate_frame!r}")
+        if self.project_every < 0:
+            raise ValueError("project_every must be >= 0")
         if self.trajectory.mode == "source-seeking" and self.field is None:
             raise ValueError("source-seeking mode requires a field")
         if (
@@ -469,9 +481,6 @@ def _initial_conditions(config: SimConfig):
         r = np.broadcast_to(r0, (n, 3, 3)).copy()
     elif config.attitudes.kind == "explicit":
         r = config.attitudes.matrices.copy()
-        for i in range(n):
-            if not is_rotation(r[i], tol=1e-6):
-                raise ValueError(f"explicit attitude {i} is not a rotation")
     else:
         r = np.empty((n, 3, 3))
         for i in range(n):

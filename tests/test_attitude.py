@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from swarmso3 import (
     run,
     vee,
 )
+from swarmso3.scenario import load_scenario, scenario_to_config
 
 RNG = np.random.default_rng(21)
 
@@ -138,6 +141,20 @@ def test_heading_alignment_delta_values():
     assert heading_alignment_delta([1, 0, 0], [0, 1, 0]) == pytest.approx(np.pi / 2)
     with pytest.raises(ValueError):
         heading_alignment_delta([1, 1, 0], [1, 0, 0])
+
+
+@pytest.mark.parametrize("theta", [1e-4, 1e-6, 1e-8])
+def test_heading_alignment_delta_small_angles(theta):
+    x_b = exp_so3([0.0, 0.0, theta])[:, 0]
+    assert abs(heading_alignment_delta(x_b, [1.0, 0.0, 0.0]) - theta) < 1e-12 * theta
+
+
+def test_logged_delta_never_exceeds_mu_near_convergence():
+    # prop1_smoke ends with mu ~ 6e-8, where an arccos angle loses half its digits
+    scenarios = Path(__file__).resolve().parents[1] / "src" / "swarmso3" / "scenarios"
+    log = run(scenario_to_config(load_scenario(scenarios / "prop1_smoke.scenario")))
+    assert log.mu[-1, 0] < 1e-7
+    assert np.all(log.delta <= log.mu * (1 + 1e-12))
 
 
 def test_heading_delta_never_exceeds_attitude_error():

@@ -1,17 +1,15 @@
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from swarmso3 import scenario
 from swarmso3.cli import main
 from swarmso3.errors import ScenarioError
-from swarmso3.scenario import (
-    emit_scenario,
-    load_scenario,
-    parse_scenario,
-    scenario_to_config,
-)
+from swarmso3.scenario import load_scenario, parse_scenario, scenario_to_config
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "swarmso3" / "scenarios"
 
@@ -22,14 +20,6 @@ def test_bundled_scenarios_parse_and_build(name):
     config = scenario_to_config(data)
     assert config.name == name
     assert config.n_agents == data["agents"]
-
-
-@pytest.mark.parametrize("name", ["fig2", "fig3", "prop1_smoke"])
-def test_emit_parse_idempotent(name):
-    data = load_scenario(BUNDLED / f"{name}.scenario")
-    once = emit_scenario(data)
-    twice = emit_scenario(parse_scenario(once))
-    assert once == twice
 
 
 def test_unknown_top_level_key_rejected():
@@ -163,3 +153,147 @@ def test_rate_frame_override_changes_dynamics(tmp_path):
         ["simulate", "fig2", "--out", str(out2), "--dt", "0.05", "--rate-frame", "body"]
     ) == 0
     assert (out1 / "steps.csv").read_bytes() != (out2 / "steps.csv").read_bytes()
+
+
+QUADRATIC = {
+    "kind": "quadratic",
+    "source": [90.0, 60.0, 30.0],
+    "amplitude": 1000.0,
+    "curvature": [0.01, 0.02, 0.015],
+    "domain_radius": 150.0,
+}
+SUM_OF_GAUSSIANS = {
+    "kind": "sum_of_gaussians",
+    "source": [90.0, 60.0, 30.0],
+    "components": [
+        {"source": [90.0, 60.0, 30.0], "amplitude": 100.0, "width": [60.0, 70.0, 55.0]},
+        {"source": [20.0, 10.0, 0.0], "amplitude": 20.0, "width": 15.0},
+    ],
+}
+MUTATIONS = (None, True, "x", -1, 0, 0.5, 3, [1, 2], [True, 0, 0], {}, [])
+DELETE = "<delete>"
+
+
+def _bases():
+    """The bundled scenarios, plus fig3 with each other field kind."""
+    out = {
+        name: yaml.safe_load((BUNDLED / f"{name}.scenario").read_text())
+        for name in ("fig2", "fig3", "prop1_smoke")
+    }
+    out["fig3-quadratic"] = {**out["fig3"], "field": QUADRATIC}
+    out["fig3-sum_of_gaussians"] = {**out["fig3"], "field": SUM_OF_GAUSSIANS}
+    return out
+
+
+def _paths(node, prefix=()):
+    """Every key path of a mapping, list entries included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutants():
+    """(label, mapping) with one key path set to one MUTATIONS value or deleted."""
+    for name, base in _bases().items():
+        for path in _paths(base):
+            for value in MUTATIONS + (DELETE,):
+                data = copy.deepcopy(base)
+                parent = data
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value == DELETE:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(value)
+                yield f"{name}:{'.'.join(map(str, path))}={value!r}", data
+
+
+def test_scenario_mutations_parse_exactly_when_they_build():
+    # parse_scenario is yaml.safe_load followed by scenario._checked; the
+    # mutants go to _checked directly, skipping ~5 ms of YAML per mutant
+    count, accepted = 0, 0
+    for label, data in _mutants():
+        count += 1
+        try:
+            checked = scenario._checked(data)
+        except ScenarioError:
+            continue
+        assert checked is data, label
+        scenario_to_config(checked)  # must not raise
+        accepted += 1
+    assert count > 3000 and 0 < accepted < count
+
+
+def test_scalar_curvature_is_a_multiple_of_identity():
+    def config(curvature):
+        text = yaml.safe_dump({**_bases()["fig3"], "field": {**QUADRATIC, "curvature": curvature}})
+        return scenario_to_config(parse_scenario(text))
+
+    scalar, per_axis = config(0.01), config([0.01, 0.01, 0.01])
+    assert np.array_equal(scalar.field.curvature, per_axis.field.curvature)
+    assert np.array_equal(scalar.field.curvature, 0.01 * np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "block, key, value, match",
+    [
+        ("trajectory", "omega_unknown", [0.0, 0.0, 0.1], "constant"),
+        (None, "seed", -1, "seed"),
+        (None, "project_every", -1, "project_every"),
+        ("attitudes", "matrices", [[1.0, 0, 0, 0, 1, 0, 0, 0, 2]], "not a rotation"),
+    ],
+    ids=["constant-rates", "seed", "project_every", "matrices"],
+)
+def test_checks_moved_into_the_config_classes(block, key, value, match):
+    data = _bases()["prop1_smoke"]
+    if block == "attitudes":
+        data["attitudes"] = {"kind": "explicit"}
+    (data[block] if block else data)[key] = value
+    with pytest.raises(ScenarioError, match=match):
+        scenario._checked(data)
+    with pytest.raises(ValueError, match=match):
+        scenario_to_config(data)
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ("- 1\n- 2\n", "expected a mapping"),
+        ("name: x\nagents: 1.5\n", "agents: expected an integer"),
+        ("name: x\nspeed: true\n", "speed: expected a number"),
+        ("name: [x]\n", "name: expected a string"),
+        ("name: x\ncontroller: null\n", "controller: expected a mapping"),
+    ],
+    ids=["top-level", "agents", "speed", "name", "controller"],
+)
+def test_yaml_types_are_checked_before_building(data, match):
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario(data)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda d: d["placement"].update(kind="ball"), "missing required key 'radius'"),
+        (lambda d: d["field"].pop("curvature"), "missing required key 'curvature'"),
+        (lambda d: d["field"].update(width=None), "width: expected a number or"),
+        (lambda d: d["controller"].clear(), "need mu_star and/or delta_star"),
+    ],
+    ids=["ball-radius", "quadratic-curvature", "null-width", "controller-bands"],
+)
+def test_required_keys(edit, match):
+    data = _bases()["fig3-quadratic"]
+    data["field"] = dict(data["field"])
+    data["placement"].pop("radius", None)
+    data["placement"]["kind"] = "explicit"
+    data["placement"]["positions"] = [[float(i), i * i, 0.0] for i in range(10)]
+    scenario._checked(copy.deepcopy(data))
+    edit(data)
+    with pytest.raises(ScenarioError, match=match):
+        scenario._checked(data)

@@ -40,7 +40,6 @@ from .sim import (
     RobotState,
     SimConfig,
     SimLog,
-    StepRecord,
     advance_desired,
     complete_frame,
     run,

@@ -48,8 +48,8 @@ class ControllerConfig:
     """Proportional gain and the error/alignment bands it is tuned for.
 
     mu_star defaults to delta_star when omitted (mu_star <= delta_star
-    guarantees the heading band). k_w may be left None only when a gain
-    planner will fill it in before use.
+    guarantees the heading band). k_w is required; `deployment.plan_gains`
+    computes one from the gain rules.
     """
 
     k_w: float = field(default=None)  # type: ignore[assignment]
@@ -60,8 +60,8 @@ class ControllerConfig:
         object.__setattr__(self, "delta_star", float(self.delta_star))
         mu_star = self.delta_star if self.mu_star is None else self.mu_star
         object.__setattr__(self, "mu_star", float(mu_star))
-        if self.k_w is not None and not self.k_w > 0:
-            raise ValueError("k_w must be positive")
+        if self.k_w is None or not self.k_w > 0:
+            raise ValueError("k_w must be given and positive")
         if not (0 < self.mu_star <= self.delta_star <= np.pi):
             raise ValueError("need 0 < mu_star <= delta_star <= pi")
 

@@ -2,7 +2,8 @@
 
 Subcommands:
   gains <scenario>        print the gain plan for the scenario's initial
-                          deployment (k1, k2, epsilon_max, k_w)
+                          deployment (k1, k2, epsilon_max, k_w); runs use
+                          the scenario's controller.k_w
   simulate <scenario>     run the closed loop and write steps.csv plus
                           summary.json into --out
   validate [--quick]      run the built-in property checks
@@ -16,8 +17,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .deployment import plan_gains
-from .errors import DegenerateDeployment, NearPiSingularity, SwarmSO3Error
+from .deployment import deployment_stats, plan_gains
+from .errors import NearPiSingularity, SwarmSO3Error
 from .reporting import summarize, write_step_table, write_summary
 from .scenario import parse_scenario, scenario_to_config
 from .sim import _initial_conditions, run
@@ -57,19 +58,13 @@ def _load_config(args):
 def cmd_gains(args) -> int:
     config = _load_config(args)
     p0, _ = _initial_conditions(config)
-    from .deployment import deployment_stats
-
     stats0 = deployment_stats(p0)
-    try:
-        plan = plan_gains(
-            config.trajectory.omega_max_declared,
-            config.controller.mu_star,
-            config.speed,
-            stats0,
-        )
-    except DegenerateDeployment as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    plan = plan_gains(
+        config.trajectory.omega_max_declared,
+        config.controller.mu_star,
+        config.speed,
+        stats0,
+    )
     print(f"deployment: lambda_min = {stats0.lambda_min:.4g}, D0 = {stats0.radius:.4g}")
     print(f"k1 (bounded-rate rule)    = {plan.k1:.4g}")
     print(f"k2 (non-degeneracy rule)  = {plan.k2:.4g}")
@@ -92,9 +87,6 @@ def cmd_simulate(args) -> int:
         log = exc.partial_log
         code = EXIT_SINGULARITY
         print(f"aborted: {exc}", file=sys.stderr)
-    except DegenerateDeployment as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     write_step_table(log, out_dir / "steps.csv")
     summary = summarize(log) if len(log) else {"aborted": True, "records": 0}
     write_summary(summary, out_dir / "summary.json")

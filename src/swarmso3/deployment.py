@@ -98,15 +98,21 @@ def pairwise_displacement_bound(s: float, k_w: float) -> float:
 def epsilon_max(stats0: DeploymentStats) -> float:
     """Largest per-agent displacement that provably preserves full rank.
 
-    Positive root of 2 D0 e + e^2 = lambda_min(P(0)).
+    Positive root of 2 D0 e + e^2 = lambda_min(P(0)). Raises
+    DegenerateDeployment when the root is not positive: lambda_min <= 0,
+    or a lambda_min so small next to D0^2 (a nearly coplanar swarm) that
+    the root rounds to 0. This is the one test of whether gains can be
+    planned for a deployment.
     """
-    if stats0.lambda_min <= 0.0:
+    d0, lam = stats0.radius, stats0.lambda_min
+    eps = float(-d0 + np.sqrt(d0 * d0 + lam))
+    if not eps > 0.0:
         raise DegenerateDeployment(
-            "initial deployment is degenerate (lambda_min <= 0); the "
-            "non-degeneracy gain rule requires a full-rank covariance"
+            f"initial deployment is degenerate (lambda_min = {lam:.3g}, D0 = "
+            f"{d0:.3g}); the non-degeneracy gain rule requires a full-rank "
+            "covariance with a positive displacement budget"
         )
-    d0 = stats0.radius
-    return float(-d0 + np.sqrt(d0 * d0 + stats0.lambda_min))
+    return eps
 
 
 def gain_for_nondegeneracy(s: float, stats0: DeploymentStats) -> float:

@@ -23,7 +23,8 @@ class DegenerateDirection(SwarmSO3Error):
 
 
 class DegenerateDeployment(SwarmSO3Error):
-    """Deployment covariance is rank deficient (lambda_min <= 0)."""
+    """Deployment covariance is rank deficient, or so nearly so that the
+    non-degeneracy displacement budget rounds to 0."""
 
 
 class AntipodalHeading(SwarmSO3Error):

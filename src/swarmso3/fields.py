@@ -14,19 +14,22 @@ import numpy as np
 KINDS = ("gaussian", "quadratic", "sum_of_gaussians")
 
 
-def _width_matrix(width) -> np.ndarray:
-    """Accept scalar w, per-axis (3,) widths, or a full SPD matrix."""
-    w = np.asarray(width, dtype=np.float64)
-    if w.ndim == 0:
-        m = np.eye(3) * float(w) ** 2
-    elif w.shape == (3,):
-        m = np.diag(w**2)
-    elif w.shape == (3, 3):
-        m = 0.5 * (w + w.T)
+def _spd_matrix(value, name: str, power: int) -> np.ndarray:
+    """Accept a scalar v (v**power I), per-axis (3,) values (their powers
+    on the diagonal), or a full 3x3 matrix (symmetrized, taken as is);
+    the result must be positive definite. Widths take power 2,
+    curvatures power 1."""
+    v = np.asarray(value, dtype=np.float64)
+    if v.ndim == 0:
+        m = np.eye(3) * float(v) ** power
+    elif v.shape == (3,):
+        m = np.diag(v**power)
+    elif v.shape == (3, 3):
+        m = 0.5 * (v + v.T)
     else:
-        raise ValueError("width must be a scalar, (3,) or (3, 3)")
+        raise ValueError(f"{name} must be a scalar, (3,) or (3, 3)")
     if np.min(np.linalg.eigvalsh(m)) <= 0:
-        raise ValueError("width matrix must be positive definite")
+        raise ValueError(f"{name} matrix must be positive definite")
     return m
 
 
@@ -63,25 +66,15 @@ class FieldSpec:
         if self.kind == "gaussian":
             if not self.amplitude > 0:
                 raise ValueError("amplitude must be positive")
-            w = _width_matrix(self.width if self.width is not None else 1.0)
+            w = _spd_matrix(self.width if self.width is not None else 1.0, "width", 2)
             object.__setattr__(self, "width", w)
             sources = src[None, :].copy()
             amps = np.array([float(self.amplitude)])
             mats = np.linalg.inv(w)[None, :, :].copy()
         elif self.kind == "quadratic":
-            q = np.asarray(
-                self.curvature if self.curvature is not None else np.eye(3),
-                dtype=np.float64,
+            q = _spd_matrix(
+                self.curvature if self.curvature is not None else 1.0, "curvature", 1
             )
-            if q.ndim == 0:
-                q = q * np.eye(3)
-            elif q.shape == (3,):
-                q = np.diag(q)
-            elif q.shape != (3, 3):
-                raise ValueError("curvature must be a scalar, (3,) or (3, 3)")
-            q = 0.5 * (q + q.T)
-            if np.min(np.linalg.eigvalsh(q)) <= 0:
-                raise ValueError("curvature matrix must be positive definite")
             if not self.domain_radius > 0:
                 raise ValueError("quadratic kind needs a positive domain_radius")
             lam_max = float(np.max(np.linalg.eigvalsh(q)))
@@ -104,7 +97,7 @@ class FieldSpec:
                 c_amp = float(comp["amplitude"])
                 if not c_amp > 0:
                     raise ValueError("component amplitudes must be positive")
-                c_w = _width_matrix(comp.get("width", 1.0))
+                c_w = _spd_matrix(comp.get("width", 1.0), "width", 2)
                 rows.append(c_src)
                 amps_l.append(c_amp)
                 mats_l.append(np.linalg.inv(c_w))

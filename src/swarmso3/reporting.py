@@ -7,6 +7,7 @@ summary is recomputable from the step table plus the scenario constants;
 there is no hidden state.
 """
 
+import dataclasses
 import json
 import math
 
@@ -18,6 +19,7 @@ from .deployment import (
     plan_gains,
     weyl_floor_violation,
 )
+from .errors import DegenerateDeployment
 
 TABLE_COMMENT = (
     "# step table: one row per fixed-dt step; rotations row-major; "
@@ -142,21 +144,17 @@ def summarize(log) -> dict:
     weyl_worst = float("-inf")
     plan_dict = None
     if len(log):
-        stats0 = deployment_stats(log.p[0])
         weyl_worst = weyl_floor_violation(log.p, log.lambda_min)
-        if stats0.lambda_min > 0 and cfg.trajectory.omega_max_declared >= 0:
-            try:
-                plan = plan_gains(
-                    cfg.trajectory.omega_max_declared, mu_star, cfg.speed, stats0
-                )
-                plan_dict = {
-                    "k1": plan.k1,
-                    "k2": plan.k2,
-                    "k_w": plan.k_w,
-                    "epsilon_max": plan.epsilon_max,
-                }
-            except (ValueError, ZeroDivisionError):
-                plan_dict = None
+        try:
+            plan = plan_gains(
+                cfg.trajectory.omega_max_declared,
+                mu_star,
+                cfg.speed,
+                deployment_stats(log.p[0]),
+            )
+            plan_dict = dataclasses.asdict(plan)
+        except DegenerateDeployment:
+            pass
 
     summary = {
         "scenario": cfg.name,
@@ -165,7 +163,7 @@ def summarize(log) -> dict:
         "t_end": cfg.t_end,
         "speed": cfg.speed,
         "k_w": k_w,
-        "gain_mode": cfg.gain_mode,
+        "gain_mode": "manual",  # kept for existing readers; k_w is always the config's
         "rate_frame": cfg.rate_frame,
         "aborted": log.aborted,
         "abort_reason": log.abort_reason,

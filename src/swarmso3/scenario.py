@@ -57,7 +57,6 @@ SCHEMA = _Block(
         "dt": NUMBER,
         "t_end": NUMBER,
         "seed": INTEGER,
-        "gain_mode": STRING,
         "rate_frame": STRING,
         "project_every": INTEGER,
         "controller": _Block({"k_w": NUMBER, "mu_star": NUMBER, "delta_star": NUMBER}),

@@ -31,19 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attitude import ControllerConfig, _alignment, _error, _feedforward
-from .deployment import (
-    DeploymentStats,
-    ascending_direction,
-    deployment_stats,
-    heading_field,
-    plan_gains,
-)
-from .errors import (
-    AntipodalHeading,
-    DegenerateDeployment,
-    DegenerateDirection,
-    NearPiSingularity,
-)
+from .deployment import ascending_direction, deployment_stats, heading_field
+from .errors import AntipodalHeading, DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
 from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _polar, _vee, is_rotation
 
@@ -170,7 +159,6 @@ class SimConfig:
     placement: PlacementSpec
     attitudes: AttitudeInitSpec = AttitudeInitSpec()
     field: FieldSpec = None  # type: ignore[assignment]
-    gain_mode: str = "manual"
     rate_frame: str = "literal"
     project_every: int = 1000
     name: str = ""
@@ -193,10 +181,6 @@ class SimConfig:
             )
         if not self.speed > 0:
             raise ValueError("speed must be positive")
-        if self.gain_mode not in ("manual", "planned"):
-            raise ValueError(f"unknown gain mode {self.gain_mode!r}")
-        if self.gain_mode == "manual" and self.controller.k_w is None:
-            raise ValueError("manual gain mode requires controller.k_w")
         if self.rate_frame not in RATE_FRAMES:
             raise ValueError(f"unknown rate frame {self.rate_frame!r}")
         if self.project_every < 0:
@@ -219,26 +203,12 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One logged step: shared diagnostics plus per-agent pose and errors."""
-
-    t: float
-    p: np.ndarray
-    r: np.ndarray
-    mu: np.ndarray
-    delta: np.ndarray
-    lambda_min: float
-    sigma_centroid: float
-    dist_to_source: float
-    max_pair_disp: float
-    unknown_rate: float
-    held: bool
-    rate_violation: bool
-
-
 class SimLog:
-    """Column-major run log; indexable as a sequence of StepRecord."""
+    """Column-major run log: one array per logged quantity, one row per step.
+
+    `gains` is stored as given; `run` passes None, because k_w always
+    comes from `config.controller.k_w`.
+    """
 
     def __init__(self, config, gains, k_w, arrays, aborted=False, abort_reason=""):
         self.config = config
@@ -264,29 +234,6 @@ class SimLog:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    def __getitem__(self, k: int) -> StepRecord:
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        return StepRecord(
-            t=float(self.t[k]),
-            p=self.p[k],
-            r=self.r[k],
-            mu=self.mu[k],
-            delta=self.delta[k],
-            lambda_min=float(self.lambda_min[k]),
-            sigma_centroid=float(self.sigma_centroid[k]),
-            dist_to_source=float(self.dist_to_source[k]),
-            max_pair_disp=float(self.max_pair_disp[k]),
-            unknown_rate=float(self.unknown_rate[k]),
-            held=bool(self.hold_flag[k]),
-            rate_violation=bool(self.rate_violation[k]),
-        )
-
-    def records(self) -> list:
-        return [self[k] for k in range(len(self))]
 
 
 def _body_rates(mode, rate_frame, r_d, w_known, w_unknown):
@@ -491,33 +438,14 @@ def _initial_conditions(config: SimConfig):
     return np.ascontiguousarray(p), np.ascontiguousarray(r)
 
 
-def resolve_gains(config: SimConfig, stats0: DeploymentStats):
-    """(k_w, GainPlan or None) for this run under its gain mode."""
-    traj = config.trajectory
-    if config.gain_mode == "planned":
-        plan = plan_gains(
-            traj.omega_max_declared, config.controller.mu_star, config.speed, stats0
-        )
-        if not plan.k_w > 0:
-            raise DegenerateDeployment("planned gain came out non-positive")
-        return plan.k_w, plan
-    return config.controller.k_w, None
-
-
 def run(config: SimConfig) -> SimLog:
     """Execute the closed loop; deterministic for a fixed config.
 
     Raises NearPiSingularity (with .partial_log holding the records up to
-    the offending step) if any agent's error hits the log singularity, and
-    DegenerateDeployment at planning time under gain_mode="planned".
+    the offending step) if any agent's error hits the log singularity.
     """
     p, r = _initial_conditions(config)
-    stats0 = deployment_stats(p)
-    if config.gain_mode == "planned" and stats0.lambda_min <= 0.0:
-        raise DegenerateDeployment(
-            "planned gains need a non-degenerate initial deployment"
-        )
-    k_w, plan = resolve_gains(config, stats0)
+    k_w = config.controller.k_w
 
     n, m = config.n_agents, config.n_steps + 1
     arrays = (
@@ -544,7 +472,7 @@ def run(config: SimConfig) -> SimLog:
         if not ok.all():
             partial = SimLog(
                 config,
-                plan,
+                None,
                 k_w,
                 tuple(a[:k] for a in arrays),
                 aborted=True,
@@ -556,4 +484,4 @@ def run(config: SimConfig) -> SimLog:
         if state is not None and every > 0 and (k + 1) % every == 0:
             p, r, r_d, target = state
             state = (p, _polar(r), _polar(r_d), target)
-    return SimLog(config, plan, k_w, arrays)
+    return SimLog(config, None, k_w, arrays)

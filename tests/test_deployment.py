@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,10 @@ from swarmso3 import (
     pairwise_displacement_bound,
     plan_gains,
 )
+from swarmso3.scenario import load_scenario, scenario_to_config
+from swarmso3.sim import _initial_conditions
+
+BUNDLED = Path(__file__).resolve().parents[1] / "src" / "swarmso3" / "scenarios"
 
 RNG = np.random.default_rng(33)
 
@@ -140,6 +146,16 @@ def test_gain_for_nondegeneracy_limits():
     flat = deployment_stats(np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]]))
     with pytest.raises(DegenerateDeployment):
         gain_for_nondegeneracy(0.6, flat)
+
+
+def test_epsilon_max_refuses_nearly_coplanar_deployment():
+    data = load_scenario(BUNDLED / "fig3.scenario")
+    data["agents"] = 3
+    p0, _ = _initial_conditions(scenario_to_config(data))
+    st = deployment_stats(p0)
+    assert 0.0 < st.lambda_min < 1e-12  # three points are always coplanar
+    with pytest.raises(DegenerateDeployment):
+        epsilon_max(st)
 
 
 def test_plan_gains_selects_max():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from swarmso3 import scenario
+from swarmso3 import deployment_stats, plan_gains, scenario
 from swarmso3.cli import main
 from swarmso3.errors import ScenarioError
 from swarmso3.scenario import load_scenario, parse_scenario, scenario_to_config
@@ -48,8 +49,6 @@ def test_constant_mode_rejects_rates():
 
 
 def test_fig2_placement_matches_reference_stats():
-    from swarmso3 import deployment_stats
-
     data = load_scenario(BUNDLED / "fig2.scenario")
     stats = deployment_stats(np.array(data["placement"]["positions"]))
     assert stats.lambda_min == pytest.approx(0.07, rel=0.05)
@@ -79,6 +78,17 @@ def test_cli_gains_degenerate_exits_2(tmp_path, capsys):
     assert "degenerate" in err and "full-rank" in err
 
 
+def test_cli_gains_nearly_coplanar_exits_2(tmp_path, capsys):
+    # three agents are always coplanar: lambda_min is ~1e-16 and the
+    # displacement budget epsilon_max rounds to 0
+    text = (BUNDLED / "fig3.scenario").read_text()
+    three = tmp_path / "three.scenario"
+    three.write_text(text.replace("agents: 10", "agents: 3"))
+    assert main(["gains", str(three)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial deployment is degenerate")
+
+
 def test_cli_simulate_writes_outputs_and_is_reproducible(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "prop1_smoke", "--out", str(out1), "--dt", "0.01"]) == 0
@@ -90,6 +100,20 @@ def test_cli_simulate_writes_outputs_and_is_reproducible(tmp_path):
     assert summary["flags"]["decay_fit_ok"]  # slope within 2% of -k_w
     header = t1.decode().splitlines()[1].split(",")
     assert header[0] == "t" and "lambda_min" in header
+
+
+def test_cli_summary_reports_planned_gains(tmp_path):
+    config = scenario_to_config(load_scenario(BUNDLED / "fig2.scenario"))
+    stats0 = deployment_stats(config.placement.positions + config.placement.center)
+    plan = plan_gains(
+        config.trajectory.omega_max_declared,
+        config.controller.mu_star,
+        config.speed,
+        stats0,
+    )
+    assert main(["simulate", "fig2", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["planned_gains"] == dataclasses.asdict(plan)
 
 
 def test_cli_simulate_seed_override_changes_run(tmp_path):
@@ -247,8 +271,9 @@ def test_scalar_curvature_is_a_multiple_of_identity():
         (None, "seed", -1, "seed"),
         (None, "project_every", -1, "project_every"),
         ("attitudes", "matrices", [[1.0, 0, 0, 0, 1, 0, 0, 0, 2]], "not a rotation"),
+        ("controller", "k_w", None, "k_w"),
     ],
-    ids=["constant-rates", "seed", "project_every", "matrices"],
+    ids=["constant-rates", "seed", "project_every", "matrices", "k_w"],
 )
 def test_checks_moved_into_the_config_classes(block, key, value, match):
     data = _bases()["prop1_smoke"]

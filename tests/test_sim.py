@@ -247,15 +247,13 @@ def test_record_fields_populated():
     log = run(_seek_config(t_end=0.5))
     assert len(log) == 51
     assert np.all(np.diff(log.t) > 0)
-    rec = log[10]
-    assert rec.p.shape == (6, 3)
-    assert rec.r.shape == (6, 3, 3)
-    assert np.isfinite(rec.lambda_min)
-    assert np.isfinite(rec.sigma_centroid)
-    assert np.isfinite(rec.dist_to_source)
-    assert np.isfinite(rec.max_pair_disp)
-    neg = log[-1]
-    assert neg.t == pytest.approx(0.5)
+    assert log.p[10].shape == (6, 3)
+    assert log.r[10].shape == (6, 3, 3)
+    assert np.isfinite(log.lambda_min[10])
+    assert np.isfinite(log.sigma_centroid[10])
+    assert np.isfinite(log.dist_to_source[10])
+    assert np.isfinite(log.max_pair_disp[10])
+    assert log.t[-1] == pytest.approx(0.5)
 
 
 def _replay(log, n_steps, rate_frame):

@@ -81,9 +81,6 @@ def cmd_simulate(args) -> int:
     try:
         log = run(config)
     except NearPiSingularity as exc:
-        if exc.partial_log is None:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SINGULARITY
         log = exc.partial_log
         code = EXIT_SINGULARITY
         print(f"aborted: {exc}", file=sys.stderr)
@@ -158,10 +155,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SwarmSO3Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (SwarmSO3Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,10 +26,6 @@ class DeploymentStats:
     lambda_min: float
     radius: float
 
-    @property
-    def degenerate(self) -> bool:
-        return self.lambda_min <= 0.0
-
 
 @dataclass(frozen=True)
 class GainPlan:

@@ -97,7 +97,10 @@ def summarize(log) -> dict:
     Decay slopes are fitted on log(mu): against the window mu in
     [1e-6, mu(0)] when the reference rate is fully known, else on the
     approach segment above mu_star (samples before the first entry).
+    Raises ValueError for a log without records.
     """
+    if not len(log):
+        raise ValueError("cannot summarize a log without records")
     cfg = log.config
     n = cfg.n_agents
     k_w = log.k_w
@@ -118,7 +121,7 @@ def summarize(log) -> dict:
             slope, _ = fit_decay_slope(log.t[:cut], mu_i[:cut], mu_star, np.inf)
             windows.append("above_mu_star")
         else:
-            slope, _ = fit_decay_slope(log.t, mu_i, 1e-6, mu_i[0] if len(log) else 1.0)
+            slope, _ = fit_decay_slope(log.t, mu_i, 1e-6, mu_i[0])
             windows.append("mu_above_1e-6")
         slopes.append(slope)
         rel_errs.append(
@@ -138,23 +141,20 @@ def summarize(log) -> dict:
 
     # worst-case displacement budget vs what the run actually used
     displacement_budget = pairwise_displacement_bound(cfg.speed, k_w)
-    max_disp = float(log.max_pair_disp.max()) if len(log) else float("nan")
+    max_disp = float(log.max_pair_disp.max())
 
     # covariance floor: lambda_min(t) >= lambda_min(0) - (2 D0 e + e^2)
-    weyl_worst = float("-inf")
-    plan_dict = None
-    if len(log):
-        weyl_worst = weyl_floor_violation(log.p, log.lambda_min)
-        try:
-            plan = plan_gains(
-                cfg.trajectory.omega_max_declared,
-                mu_star,
-                cfg.speed,
-                deployment_stats(log.p[0]),
-            )
-            plan_dict = dataclasses.asdict(plan)
-        except DegenerateDeployment:
-            pass
+    weyl_worst = weyl_floor_violation(log.p, log.lambda_min)
+    try:
+        plan = plan_gains(
+            cfg.trajectory.omega_max_declared,
+            mu_star,
+            cfg.speed,
+            deployment_stats(log.p[0]),
+        )
+        plan_dict = dataclasses.asdict(plan)
+    except DegenerateDeployment:
+        plan_dict = None
 
     summary = {
         "scenario": cfg.name,
@@ -169,12 +169,12 @@ def summarize(log) -> dict:
         "abort_reason": log.abort_reason,
         "planned_gains": plan_dict,
         "decay": {
-            "window": windows[0] if windows else "",
+            "window": windows[0],
             "slope": slopes,
             "rel_err_vs_k_w": rel_errs,
         },
-        "final_mu": [float(v) for v in log.mu[-1]] if len(log) else [],
-        "final_delta": [float(v) for v in log.delta[-1]] if len(log) else [],
+        "final_mu": [float(v) for v in log.mu[-1]],
+        "final_delta": [float(v) for v in log.delta[-1]],
         "band": {
             "delta_star": delta_star,
             "slack": band_slack,
@@ -182,15 +182,15 @@ def summarize(log) -> dict:
             "max_after_entry": max_after_entry,
         },
         "lambda_min": {
-            "initial": float(log.lambda_min[0]) if len(log) else float("nan"),
-            "minimum": float(log.lambda_min.min()) if len(log) else float("nan"),
-            "final": float(log.lambda_min[-1]) if len(log) else float("nan"),
+            "initial": float(log.lambda_min[0]),
+            "minimum": float(log.lambda_min.min()),
+            "final": float(log.lambda_min[-1]),
         },
         "max_pair_disp": max_disp,
         "displacement_budget": displacement_budget,
         "weyl_worst_violation": weyl_worst,
-        "holds": int(log.hold_flag.sum()) if len(log) else 0,
-        "rate_violations": int(log.rate_violation.sum()) if len(log) else 0,
+        "holds": int(log.hold_flag.sum()),
+        "rate_violations": int(log.rate_violation.sum()),
     }
     summary["flags"] = {
         "decay_fit_ok": all(
@@ -199,7 +199,7 @@ def summarize(log) -> dict:
         ),
         "band_ok": all(entered) and all(stay_ok),
         "displacement_ok": (not log.aborted) and max_disp <= displacement_budget,
-        "lambda_min_positive": len(log) > 0 and float(log.lambda_min.min()) > 0.0,
+        "lambda_min_positive": float(log.lambda_min.min()) > 0.0,
         "weyl_ok": weyl_worst <= 1e-9,
         "completed": not log.aborted,
     }

@@ -58,7 +58,6 @@ SCHEMA = _Block(
         "t_end": NUMBER,
         "seed": INTEGER,
         "rate_frame": STRING,
-        "project_every": INTEGER,
         "controller": _Block({"k_w": NUMBER, "mu_star": NUMBER, "delta_star": NUMBER}),
         "trajectory": _Block(
             {

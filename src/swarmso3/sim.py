@@ -38,6 +38,7 @@ from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _polar, _vee, is_rotation
 
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
 RATE_FRAMES = ("literal", "body")
+PROJECT_EVERY = 1000  # steps between projections of the attitudes and r_d onto SO(3)
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,8 @@ class DesiredAttitudeTrajectory:
     steps where a vanishing ascending estimate froze the target heading,
     or where the target was antipodal and no turn was applied. `target`
     is the heading the last applied turn aimed at (r_d's first column on
-    construction); a vanishing estimate holds it. The constant mode
-    takes zero rates.
+    construction); a vanishing estimate holds it. The constant mode is
+    the prescribed mode with zero rates.
     """
 
     mode: str
@@ -160,7 +161,6 @@ class SimConfig:
     attitudes: AttitudeInitSpec = AttitudeInitSpec()
     field: FieldSpec = None  # type: ignore[assignment]
     rate_frame: str = "literal"
-    project_every: int = 1000
     name: str = ""
 
     def __post_init__(self):
@@ -183,8 +183,6 @@ class SimConfig:
             raise ValueError("speed must be positive")
         if self.rate_frame not in RATE_FRAMES:
             raise ValueError(f"unknown rate frame {self.rate_frame!r}")
-        if self.project_every < 0:
-            raise ValueError("project_every must be >= 0")
         if self.trajectory.mode == "source-seeking" and self.field is None:
             raise ValueError("source-seeking mode requires a field")
         if (
@@ -236,10 +234,8 @@ class SimLog:
         return self.t.shape[0]
 
 
-def _body_rates(mode, rate_frame, r_d, w_known, w_unknown):
-    """Body-frame (known, unknown) reference rates; zero in constant mode."""
-    if mode == "constant":
-        return np.zeros(3), np.zeros(3)
+def _body_rates(rate_frame, r_d, w_known, w_unknown):
+    """Body-frame (known, unknown) reference rates."""
     if rate_frame == "literal":
         return (w_known @ r_d) @ r_d, w_unknown @ r_d
     return w_known.copy(), w_unknown.copy()
@@ -248,11 +244,9 @@ def _body_rates(mode, rate_frame, r_d, w_known, w_unknown):
 def _spin(mode, r_d, wk, wu, dt):
     """The reference after its designed rates over dt. Source-seeking
     spins by the known rate only; its heading turn is `_retarget`."""
-    if mode == "prescribed":
-        return r_d @ _exp(dt * (wk + wu))
     if mode == "source-seeking":
         return r_d @ _exp(dt * wk)
-    return r_d
+    return r_d @ _exp(dt * (wk + wu))
 
 
 def _turn(heading, target):
@@ -307,7 +301,7 @@ def _diameter(u, block_bytes=1 << 20):
     return np.sqrt(worst)
 
 
-def _step(config, k_w, p0, state, k):
+def _step(config, p0, state, k):
     """Step k of the closed loop for the whole swarm.
 
     state is (p (N, 3), r (N, 3, 3), r_d, target). Returns (record, next
@@ -327,7 +321,7 @@ def _step(config, k_w, p0, state, k):
         r_d, target, held, tau_c = _retarget(r_d, target, p, stats, fld)
         if k > 0:
             wu_norm = np.linalg.norm(tau_c) / dt
-    elif trj.mode == "prescribed":
+    else:
         wu_norm = np.linalg.norm(trj.omega_unknown)
     r_e, tau_e, mu, ok = _error(r_d, r)
     record = (
@@ -337,10 +331,8 @@ def _step(config, k_w, p0, state, k):
     )
     if k == config.n_steps or not ok.all():
         return record, None, ok
-    wk, wu = _body_rates(
-        trj.mode, config.rate_frame, r_d, trj.omega_known, trj.omega_unknown
-    )
-    p, r = _move(p, r, _feedforward(r_e, tau_e, wk, k_w), config.speed, dt)
+    wk, wu = _body_rates(config.rate_frame, r_d, trj.omega_known, trj.omega_unknown)
+    p, r = _move(p, r, _feedforward(r_e, tau_e, wk, config.controller.k_w), config.speed, dt)
     return record, (p, r, _spin(trj.mode, r_d, wk, wu, dt), target), ok
 
 
@@ -371,9 +363,7 @@ def complete_frame(x_d, prev) -> np.ndarray:
 
 def reference_body_rates(traj: DesiredAttitudeTrajectory, rate_frame: str):
     """Body-frame (known, unknown) rate vectors under the chosen convention."""
-    return _body_rates(
-        traj.mode, rate_frame, traj.r_d, traj.omega_known, traj.omega_unknown
-    )
+    return _body_rates(rate_frame, traj.r_d, traj.omega_known, traj.omega_unknown)
 
 
 def advance_desired(
@@ -385,7 +375,8 @@ def advance_desired(
 ) -> DesiredAttitudeTrajectory:
     """One reference update, by the simulator's own step functions.
 
-    prescribed: compose by the exponential of the total rate over dt.
+    prescribed (and constant, its zero-rate case): compose by the
+    exponential of the total rate over dt.
     source-seeking: apply the designed known spin, then the minimal
     rotation placing the first column on the fresh target heading computed
     from `positions` and `field`; the realized correction rate is reported
@@ -394,11 +385,9 @@ def advance_desired(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if traj.mode == "constant":
-        return replace(traj, held=False)
     wk, wu = reference_body_rates(traj, rate_frame)
     r_d = _spin(traj.mode, traj.r_d, wk, wu, dt)
-    if traj.mode == "prescribed":
+    if traj.mode != "source-seeking":
         return replace(traj, r_d=r_d, held=False)
 
     if positions is None or field is None:
@@ -466,7 +455,7 @@ def run(config: SimConfig) -> SimLog:
     p0, r_d = p, config.trajectory.r_d
     state = (p, r, r_d, r_d[:, 0].copy())
     for k in range(m):
-        record, state, ok = _step(config, k_w, p0, state, k)
+        record, state, ok = _step(config, p0, state, k)
         for column, value in zip(arrays, record):
             column[k] = value
         if not ok.all():
@@ -480,8 +469,7 @@ def run(config: SimConfig) -> SimLog:
                 f"the log singularity at step {k}",
             )
             raise NearPiSingularity(partial.abort_reason, partial_log=partial)
-        every = config.project_every
-        if state is not None and every > 0 and (k + 1) % every == 0:
+        if state is not None and (k + 1) % PROJECT_EVERY == 0:
             p, r, r_d, target = state
             state = (p, _polar(r), _polar(r_d), target)
     return SimLog(config, None, k_w, arrays)

@@ -70,7 +70,7 @@ def _exp(tau):
         a_series = 1.0 - t2 / 6.0 + t4 / 120.0 - t6 / 5040.0
         b_series = 0.5 - t2 / 24.0 + t4 / 720.0 - t6 / 40320.0
         a = np.where(small, a_series, np.sin(th) / th)
-        b = np.where(small, b_series, (1.0 - np.cos(th)) / (th * th))
+        b = np.where(small, b_series, (1.0 - np.cos(th)) / np.where(small, 1.0, t2))
     else:
         a = np.sin(theta) / theta
         b = (1.0 - np.cos(theta)) / t2
@@ -232,7 +232,7 @@ def is_rotation(r, tol: float = 1e-9) -> bool:
 
 
 def rotation_to_flat(r) -> list:
-    """Row-major 9-element serialization used by scenario files and logs."""
+    """Row-major 9-element serialization, the inverse of `rotation_from_flat`."""
     return [float(v) for v in _mat3(r).reshape(9)]
 
 

@@ -43,7 +43,8 @@ def test_stats_collinear_is_degenerate():
     pts = np.outer(np.arange(5.0), [1.0, 2.0, -1.0])
     st = deployment_stats(pts)
     assert st.lambda_min == pytest.approx(0.0, abs=1e-12)
-    assert st.degenerate
+    with pytest.raises(DegenerateDeployment):
+        epsilon_max(st)
 
 
 def test_stats_rejects_bad_input():

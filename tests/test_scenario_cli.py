@@ -24,9 +24,11 @@ def test_bundled_scenarios_parse_and_build(name):
 
 
 def test_unknown_top_level_key_rejected():
+    # the projection period is the constant sim.PROJECT_EVERY, not a key
     text = (BUNDLED / "prop1_smoke.scenario").read_text()
-    with pytest.raises(ScenarioError, match="bogus"):
-        parse_scenario(text + "\nbogus: 1\n")
+    for key in ("bogus", "project_every"):
+        with pytest.raises(ScenarioError, match=key):
+            parse_scenario(text + f"\n{key}: 1000\n")
 
 
 def test_unknown_nested_key_rejected():
@@ -269,11 +271,10 @@ def test_scalar_curvature_is_a_multiple_of_identity():
     [
         ("trajectory", "omega_unknown", [0.0, 0.0, 0.1], "constant"),
         (None, "seed", -1, "seed"),
-        (None, "project_every", -1, "project_every"),
         ("attitudes", "matrices", [[1.0, 0, 0, 0, 1, 0, 0, 0, 2]], "not a rotation"),
         ("controller", "k_w", None, "k_w"),
     ],
-    ids=["constant-rates", "seed", "project_every", "matrices", "k_w"],
+    ids=["constant-rates", "seed", "matrices", "k_w"],
 )
 def test_checks_moved_into_the_config_classes(block, key, value, match):
     data = _bases()["prop1_smoke"]

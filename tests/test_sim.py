@@ -27,7 +27,7 @@ from swarmso3 import (
     step_agent,
 )
 from swarmso3.deployment import deployment_stats, weyl_floor_violation
-from swarmso3.reporting import step_table_text
+from swarmso3.reporting import step_table_text, summarize
 from swarmso3.scenario import parse_scenario, scenario_to_config
 
 RNG = np.random.default_rng(55)
@@ -80,7 +80,6 @@ def test_long_run_orthonormality():
         ),
         placement=PlacementSpec(kind="explicit", positions=np.zeros((1, 3))),
         attitudes=AttitudeInitSpec(kind="ball", radius=1.0),
-        project_every=1000,
     )
     log = run(cfg)
     r = log.r[-1, 0]
@@ -210,6 +209,25 @@ def test_run_aborts_on_initial_antipode():
     with pytest.raises(NearPiSingularity) as exc_info:
         run(cfg)
     assert len(exc_info.value.partial_log) == 0
+    with pytest.raises(ValueError, match="without records"):
+        summarize(exc_info.value.partial_log)
+
+
+def test_constant_mode_is_prescribed_with_zero_rates():
+    # constant has no code path of its own: prop1_smoke (a constant
+    # reference) run as prescribed with the same zero rates logs the
+    # same bits in every column
+    text = resources.files("swarmso3").joinpath("scenarios", "prop1_smoke.scenario")
+    cfg = scenario_to_config(parse_scenario(text.read_text(encoding="utf-8")))
+    assert cfg.trajectory.mode == "constant"
+    prescribed = dataclasses.replace(
+        cfg, trajectory=dataclasses.replace(cfg.trajectory, mode="prescribed")
+    )
+    a, b = run(cfg), run(prescribed)
+    for name in ("t", "p", "r", "r_d", "mu", "delta", "lambda_min", "sigma_centroid",
+                 "dist_to_source", "max_pair_disp", "unknown_rate", "hold_flag",
+                 "rate_violation"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def test_per_step_error_decrease_above_band():

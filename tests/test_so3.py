@@ -86,6 +86,21 @@ def test_exp_small_angle_matches_power_series():
         assert np.max(np.abs(exp_so3(tau) - series)) < 1e-14
 
 
+def test_exp_of_a_stack_is_exp_of_each_row_bitwise():
+    # a row's exponential must not depend on its batch-mates, also when
+    # the stack mixes angles below and above SMALL_ANGLE
+    from swarmso3.so3 import SMALL_ANGLE, _exp
+
+    rng = np.random.default_rng(11)
+    stack = np.array([random_rotvec(rng) for _ in range(2000)])
+    stack[::7] *= 1e-6 / np.linalg.norm(stack[::7], axis=1, keepdims=True)
+    angles = np.linalg.norm(stack, axis=1)
+    assert (angles < SMALL_ANGLE).any() and (angles >= SMALL_ANGLE).any()
+    batched = _exp(stack)
+    for tau, r in zip(stack, batched):
+        assert exp_so3(tau).tobytes() == r.tobytes()
+
+
 def test_log_identity():
     assert np.array_equal(log_so3(np.eye(3)), np.zeros(3))
 

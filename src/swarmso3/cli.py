@@ -85,7 +85,11 @@ def cmd_simulate(args) -> int:
         code = EXIT_SINGULARITY
         print(f"aborted: {exc}", file=sys.stderr)
     write_step_table(log, out_dir / "steps.csv")
-    summary = summarize(log) if len(log) else {"aborted": True, "records": 0}
+    summary = (
+        summarize(log)
+        if len(log)
+        else {"aborted": True, "abort_reason": log.abort_reason, "records": 0}
+    )
     write_summary(summary, out_dir / "summary.json")
     print(f"wrote {out_dir / 'steps.csv'} ({len(log)} records)")
     print(f"wrote {out_dir / 'summary.json'}")

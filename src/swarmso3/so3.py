@@ -167,8 +167,16 @@ def dist_geodesic(r1, r2) -> float:
 
 
 def dist_log(r1, r2) -> float:
-    """Frobenius norm of log(r1^T r2); equals sqrt(2) * dist_geodesic."""
-    return float(np.sqrt(2.0) * dist_geodesic(r1, r2))
+    """Frobenius norm of log(r1^T r2) as a skew matrix.
+
+    Equals sqrt(2) * dist_geodesic, computed separately from it through
+    the log. Raises NearPiSingularity where the log is undefined.
+    """
+    tau, _, ok = _log(_mat3(r1).T @ _mat3(r2))
+    if not ok:
+        raise NearPiSingularity()
+    k = _hat(tau)
+    return float(np.sqrt((k * k).sum()))
 
 
 def dist_frobenius(r1, r2) -> float:

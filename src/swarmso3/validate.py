@@ -2,7 +2,18 @@
 
 Each check returns (name, samples, worst, tol, passed). These are the
 same invariants the test suite pins down, at sample counts suited to a
-quick command-line health check.
+quick command-line health check: 10 000 samples for each SO(3) check and
+1 000 for the field gradients (1 000 and 200 with `--quick`), plus the
+two closed-loop checks over every step of a small prescribed-mode run.
+
+The sampled checks draw their samples as stacks, in blocks of at most
+BLOCK rows, and evaluate each block with the batched private functions
+(`so3._exp`, `_log`, `_angle`, `_hat`, `_adjoint`, `FieldSpec.values` and
+`.gradients`). The first PUBLIC samples of each check also go through
+the public single-rotation functions (a third of them per field in the
+gradient check), so their shape checks and typed errors stay exercised. A
+sample the batched log reports as undefined, or an error that comes out
+nan, counts as an infinite error, so every check can fail.
 """
 
 import numpy as np
@@ -19,52 +30,117 @@ from .sim import (
     run,
 )
 
+# rows per batched block: whole-check stacks of 10 000 samples would add
+# ~5 MB of peak memory for no extra speed
+BLOCK = 1000
+# samples per check that also go through the public functions
+PUBLIC = 100
+SQRT2 = np.sqrt(2.0)
 
-def _random_rotvec(rng, max_angle):
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    return axis * rng.uniform(0.0, max_angle)
+
+def _worst(n, rng, draw, batched, public, n_public=PUBLIC):
+    """Largest error over n samples, drawn in blocks of at most BLOCK.
+
+    draw(rng, m) returns a tuple of arrays with m rows, batched(*arrays)
+    the m errors, and public(*rows) one sample's error through the public
+    functions; it runs on the first n_public samples.
+    """
+    worsts = [0.0]
+    for start in range(0, n, BLOCK):
+        m = min(BLOCK, n - start)
+        arrays = draw(rng, m)
+        worsts.append(np.max(batched(*arrays)))
+        worsts += [public(*(a[i] for a in arrays)) for i in range(min(m, n_public - start))]
+    # np.max, unlike max(), lets a nan error through to fail the check
+    worst = float(np.max(worsts))
+    return np.inf if np.isnan(worst) else worst
+
+
+def _result(name, n, worst, tol):
+    return (name, n, worst, tol, worst <= tol)
+
+
+def _rotvecs(rng, m, max_angle):
+    """m rotation vectors with uniform axes and angles in [0, max_angle)."""
+    axis = rng.normal(size=(m, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    return axis * rng.uniform(0.0, max_angle, size=(m, 1))
+
+
+def _norm(x, axes):
+    return np.sqrt((x * x).sum(axis=axes))
 
 
 def check_roundtrip(n, rng):
     """vee(log(exp(hat(tau)))) recovers tau for angles below pi."""
-    worst = 0.0
-    for _ in range(n):
-        tau = _random_rotvec(rng, np.pi - 0.1)
-        back = so3.log_so3(so3.exp_so3(tau))
-        worst = max(worst, float(np.linalg.norm(back - tau)))
-    return ("exp/log roundtrip", n, worst, 1e-9, worst < 1e-9)
+
+    def draw(rng, m):
+        return (_rotvecs(rng, m, np.pi - 0.1),)
+
+    def batched(tau):
+        back, _, ok = so3._log(so3._exp(tau))
+        return np.where(ok, _norm(back - tau, -1), np.inf)
+
+    def public(tau):
+        return float(np.linalg.norm(so3.log_so3(so3.exp_so3(tau)) - tau))
+
+    return _result("exp/log roundtrip", n, _worst(n, rng, draw, batched, public), 1e-9)
 
 
 def check_metric_ordering(n, rng):
-    """d_F <= sqrt(2) d_geo = d_log, checked as a two-sided bound."""
-    worst = 0.0
-    for _ in range(n):
-        r1 = so3.exp_so3(_random_rotvec(rng, np.pi - 0.05))
-        r2 = r1 @ so3.exp_so3(_random_rotvec(rng, np.pi - 0.05))
+    """d_F <= sqrt(2) d_geo = d_log, checked as a two-sided bound.
+
+    d_geo is the atan2 angle of r1^T r2 and d_log the Frobenius norm of
+    its log, so the equality compares two computations.
+    """
+
+    def draw(rng, m):
+        r1 = so3._exp(_rotvecs(rng, m, np.pi - 0.05))
+        return r1, r1 @ so3._exp(_rotvecs(rng, m, np.pi - 0.05))
+
+    def batched(r1, r2):
+        rel = np.swapaxes(r1, -1, -2) @ r2
+        _, _, dg, ok = so3._angle(rel)
+        dl = _norm(so3._hat(so3._log(rel)[0]), (-2, -1))
+        df = _norm(r1 - r2, (-2, -1))
+        err = np.maximum(np.abs(dl - SQRT2 * dg), np.maximum(0.0, df - dl))
+        return np.where(ok, err, np.inf)
+
+    def public(r1, r2):
         dg = so3.dist_geodesic(r1, r2)
         dl = so3.dist_log(r1, r2)
         df = so3.dist_frobenius(r1, r2)
-        worst = max(worst, abs(dl - np.sqrt(2.0) * dg), max(0.0, df - dl))
-    return ("metric ordering", n, worst, 1e-12, worst <= 1e-12)
+        return max(abs(dl - SQRT2 * dg), df - dl, 0.0)
+
+    return _result("metric ordering", n, _worst(n, rng, draw, batched, public), 1e-12)
 
 
 def check_ad_invariance(n, rng):
-    """tr(Ad_R(W1)^T Ad_R(W2)) equals tr(W1^T W2)."""
-    worst = 0.0
-    for _ in range(n):
-        r = so3.exp_so3(_random_rotvec(rng, np.pi - 0.05))
-        w1 = so3.hat(rng.normal(size=3))
-        w2 = so3.hat(rng.normal(size=3))
-        lhs = np.trace(so3.adjoint_rotate(r, w1).T @ so3.adjoint_rotate(r, w2))
-        rhs = np.trace(w1.T @ w2)
-        worst = max(worst, abs(lhs - rhs))
-    return ("Ad-invariance", n, worst, 1e-10, worst <= 1e-10)
+    """Ad_R(hat v) = hat(R v), and tr(Ad_R(W1)^T Ad_R(W2)) = tr(W1^T W2)."""
+
+    def draw(rng, m):
+        return so3._exp(_rotvecs(rng, m, np.pi - 0.05)), rng.normal(size=(m, 2, 3))
+
+    def batched(r, v):
+        w = so3._hat(v)
+        ad = so3._adjoint(r[:, None], w)
+        rv = so3._hat((r[:, None] @ v[..., None])[..., 0])
+        ident = np.abs(ad - rv).max(axis=(-3, -2, -1))
+        inner = (ad[:, 0] * ad[:, 1] - w[:, 0] * w[:, 1]).sum(axis=(-2, -1))
+        return np.maximum(ident, np.abs(inner))
+
+    def public(r, v):
+        w1, w2 = so3.hat(v[0]), so3.hat(v[1])
+        a1, a2 = so3.adjoint_rotate(r, w1), so3.adjoint_rotate(r, w2)
+        ident = max(float(np.max(np.abs(so3.hat(r @ x) - a))) for x, a in zip(v, (a1, a2)))
+        return max(ident, abs(float(np.trace(a1.T @ a2) - np.trace(w1.T @ w2))))
+
+    return _result("Ad-invariance", n, _worst(n, rng, draw, batched, public), 1e-10)
 
 
-def check_gradient_fd(n, rng):
-    """Analytic field gradients against central differences."""
-    specs = [
+def _fd_specs():
+    """The fields of the gradient check, one of each kind."""
+    return [
         FieldSpec(kind="gaussian", source=[1.0, -2.0, 0.5], amplitude=3.0, width=[2.0, 1.5, 3.0]),
         FieldSpec(kind="quadratic", source=[0.0, 1.0, 0.0], amplitude=50.0, curvature=[0.3, 0.2, 0.4], domain_radius=10.0),
         FieldSpec(
@@ -76,21 +152,37 @@ def check_gradient_fd(n, rng):
             ),
         ),
     ]
+
+
+def check_gradient_fd(n, rng):
+    """Analytic field gradients against central differences.
+
+    The n samples, and the PUBLIC that also go through `field_eval` and
+    `field_gradient`, are shared out over the fields as evenly as
+    possible; the error is ||fd - g|| / max(1e-12, ||g||).
+    """
     h = 1e-5
+    steps = h * np.eye(3)
+    specs = _fd_specs()
     worst = 0.0
-    per_spec = max(1, n // len(specs))
-    for spec in specs:
-        for _ in range(per_spec):
-            p = np.asarray(spec.source) + rng.uniform(-4.0, 4.0, size=3)
+    for j, spec in enumerate(specs):
+
+        def draw(rng, m, spec=spec):
+            return (spec.source + rng.uniform(-4.0, 4.0, size=(m, 3)),)
+
+        def batched(p, spec=spec):
+            fd = (spec.values(p[:, None] + steps) - spec.values(p[:, None] - steps)) / (2 * h)
+            g = spec.gradients(p)
+            return _norm(fd - g, -1) / np.maximum(1e-12, _norm(g, -1))
+
+        def public(p, spec=spec):
             g = field_gradient(spec, p)
-            fd = np.empty(3)
-            for a in range(3):
-                e = np.zeros(3)
-                e[a] = h
-                fd[a] = (field_eval(spec, p + e) - field_eval(spec, p - e)) / (2 * h)
-            denom = max(1e-12, float(np.linalg.norm(g)))
-            worst = max(worst, float(np.linalg.norm(fd - g)) / denom)
-    return ("field gradient vs FD", n, worst, 1e-6, worst <= 1e-6)
+            fd = [(field_eval(spec, p + e) - field_eval(spec, p - e)) / (2 * h) for e in steps]
+            return float(np.linalg.norm(fd - g)) / max(1e-12, float(np.linalg.norm(g)))
+
+        m = n // len(specs) + (j < n % len(specs))
+        worst = max(worst, _worst(m, rng, draw, batched, public, PUBLIC // len(specs)))
+    return _result("field gradient vs FD", n, worst, 1e-6)
 
 
 def _closed_loop_log(n_steps_scale=1.0):

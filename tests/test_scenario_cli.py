@@ -152,7 +152,10 @@ def test_cli_simulate_singularity_exits_3(tmp_path, capsys):
     # partial log: header only, zero records
     lines = (out / "steps.csv").read_text().splitlines()
     assert len(lines) == 2
-    assert json.loads((out / "summary.json").read_text())["aborted"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"]
+    assert "agent 0" in summary["abort_reason"]
+    assert summary["abort_reason"].endswith("at step 0")
 
 
 def test_cli_validate_quick(capsys):

@@ -114,6 +114,8 @@ def test_log_raises_at_half_turn():
     r = np.diag([1.0, -1.0, -1.0])  # rotation by pi about x, trace = -1
     with pytest.raises(NearPiSingularity):
         log_so3(r)
+    with pytest.raises(NearPiSingularity):
+        dist_log(np.eye(3), r)
 
 
 @settings(max_examples=200, deadline=None)

@@ -169,8 +169,10 @@ def dist_geodesic(r1, r2) -> float:
 def dist_log(r1, r2) -> float:
     """Frobenius norm of log(r1^T r2) as a skew matrix.
 
-    Equals sqrt(2) * dist_geodesic, computed separately from it through
-    the log. Raises NearPiSingularity where the log is undefined.
+    Equals sqrt(2) * dist_geodesic. It is computed through the log, whose
+    angle comes from the same `_angle` as dist_geodesic, so comparing the
+    two checks the log's scaling and `_hat`, not the angle. Raises
+    NearPiSingularity where the log is undefined.
     """
     tau, _, ok = _log(_mat3(r1).T @ _mat3(r2))
     if not ok:

@@ -9,11 +9,9 @@ two closed-loop checks over every step of a small prescribed-mode run.
 The sampled checks draw their samples as stacks, in blocks of at most
 BLOCK rows, and evaluate each block with the batched private functions
 (`so3._exp`, `_log`, `_angle`, `_hat`, `_adjoint`, `FieldSpec.values` and
-`.gradients`). The first PUBLIC samples of each check also go through
-the public single-rotation functions (a third of them per field in the
-gradient check), so their shape checks and typed errors stay exercised. A
-sample the batched log reports as undefined, or an error that comes out
-nan, counts as an infinite error, so every check can fail.
+`.gradients`). A sample the batched log reports as undefined, or an
+error that comes out nan, counts as an infinite error, so every check
+can fail.
 """
 
 import numpy as np
@@ -21,7 +19,7 @@ import numpy as np
 from . import so3
 from .attitude import ControllerConfig
 from .deployment import pairwise_displacement_bound, weyl_floor_violation
-from .fields import FieldSpec, field_eval, field_gradient
+from .fields import FieldSpec
 from .sim import (
     AttitudeInitSpec,
     DesiredAttitudeTrajectory,
@@ -33,31 +31,20 @@ from .sim import (
 # rows per batched block: whole-check stacks of 10 000 samples would add
 # ~5 MB of peak memory for no extra speed
 BLOCK = 1000
-# samples per check that also go through the public functions
-PUBLIC = 100
-SQRT2 = np.sqrt(2.0)
 
 
-def _worst(n, rng, draw, batched, public, n_public=PUBLIC):
+def _worst(n, rng, draw, batched):
     """Largest error over n samples, drawn in blocks of at most BLOCK.
 
-    draw(rng, m) returns a tuple of arrays with m rows, batched(*arrays)
-    the m errors, and public(*rows) one sample's error through the public
-    functions; it runs on the first n_public samples.
+    draw(rng, m) returns a tuple of arrays with m rows and batched(*arrays)
+    their m errors.
     """
     worsts = [0.0]
     for start in range(0, n, BLOCK):
-        m = min(BLOCK, n - start)
-        arrays = draw(rng, m)
-        worsts.append(np.max(batched(*arrays)))
-        worsts += [public(*(a[i] for a in arrays)) for i in range(min(m, n_public - start))]
+        worsts.append(np.max(batched(*draw(rng, min(BLOCK, n - start)))))
     # np.max, unlike max(), lets a nan error through to fail the check
     worst = float(np.max(worsts))
     return np.inf if np.isnan(worst) else worst
-
-
-def _result(name, n, worst, tol):
-    return (name, n, worst, tol, worst <= tol)
 
 
 def _rotvecs(rng, m, max_angle):
@@ -65,10 +52,6 @@ def _rotvecs(rng, m, max_angle):
     axis = rng.normal(size=(m, 3))
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
     return axis * rng.uniform(0.0, max_angle, size=(m, 1))
-
-
-def _norm(x, axes):
-    return np.sqrt((x * x).sum(axis=axes))
 
 
 def check_roundtrip(n, rng):
@@ -79,19 +62,19 @@ def check_roundtrip(n, rng):
 
     def batched(tau):
         back, _, ok = so3._log(so3._exp(tau))
-        return np.where(ok, _norm(back - tau, -1), np.inf)
+        return np.where(ok, np.linalg.norm(back - tau, axis=-1), np.inf)
 
-    def public(tau):
-        return float(np.linalg.norm(so3.log_so3(so3.exp_so3(tau)) - tau))
-
-    return _result("exp/log roundtrip", n, _worst(n, rng, draw, batched, public), 1e-9)
+    worst = _worst(n, rng, draw, batched)
+    return ("exp/log roundtrip", n, worst, 1e-9, worst < 1e-9)
 
 
 def check_metric_ordering(n, rng):
     """d_F <= sqrt(2) d_geo = d_log, checked as a two-sided bound.
 
-    d_geo is the atan2 angle of r1^T r2 and d_log the Frobenius norm of
-    its log, so the equality compares two computations.
+    d_log is the Frobenius norm of hat(log(r1^T r2)), so the equality
+    checks the log's scaling and `_hat` against the atan2 angle d_geo.
+    The log takes its angle from the same `_angle`, so a wrong angle
+    there is not caught by the equality.
     """
 
     def draw(rng, m):
@@ -101,18 +84,13 @@ def check_metric_ordering(n, rng):
     def batched(r1, r2):
         rel = np.swapaxes(r1, -1, -2) @ r2
         _, _, dg, ok = so3._angle(rel)
-        dl = _norm(so3._hat(so3._log(rel)[0]), (-2, -1))
-        df = _norm(r1 - r2, (-2, -1))
-        err = np.maximum(np.abs(dl - SQRT2 * dg), np.maximum(0.0, df - dl))
+        dl = np.linalg.norm(so3._hat(so3._log(rel)[0]), axis=(-2, -1))
+        df = np.linalg.norm(r1 - r2, axis=(-2, -1))
+        err = np.maximum(np.abs(dl - np.sqrt(2.0) * dg), np.maximum(0.0, df - dl))
         return np.where(ok, err, np.inf)
 
-    def public(r1, r2):
-        dg = so3.dist_geodesic(r1, r2)
-        dl = so3.dist_log(r1, r2)
-        df = so3.dist_frobenius(r1, r2)
-        return max(abs(dl - SQRT2 * dg), df - dl, 0.0)
-
-    return _result("metric ordering", n, _worst(n, rng, draw, batched, public), 1e-12)
+    worst = _worst(n, rng, draw, batched)
+    return ("metric ordering", n, worst, 1e-12, worst <= 1e-12)
 
 
 def check_ad_invariance(n, rng):
@@ -129,13 +107,8 @@ def check_ad_invariance(n, rng):
         inner = (ad[:, 0] * ad[:, 1] - w[:, 0] * w[:, 1]).sum(axis=(-2, -1))
         return np.maximum(ident, np.abs(inner))
 
-    def public(r, v):
-        w1, w2 = so3.hat(v[0]), so3.hat(v[1])
-        a1, a2 = so3.adjoint_rotate(r, w1), so3.adjoint_rotate(r, w2)
-        ident = max(float(np.max(np.abs(so3.hat(r @ x) - a))) for x, a in zip(v, (a1, a2)))
-        return max(ident, abs(float(np.trace(a1.T @ a2) - np.trace(w1.T @ w2))))
-
-    return _result("Ad-invariance", n, _worst(n, rng, draw, batched, public), 1e-10)
+    worst = _worst(n, rng, draw, batched)
+    return ("Ad-invariance", n, worst, 1e-10, worst <= 1e-10)
 
 
 def _fd_specs():
@@ -157,9 +130,8 @@ def _fd_specs():
 def check_gradient_fd(n, rng):
     """Analytic field gradients against central differences.
 
-    The n samples, and the PUBLIC that also go through `field_eval` and
-    `field_gradient`, are shared out over the fields as evenly as
-    possible; the error is ||fd - g|| / max(1e-12, ||g||).
+    The n samples are shared out over the fields as evenly as possible;
+    the error is ||fd - g|| / max(1e-12, ||g||).
     """
     h = 1e-5
     steps = h * np.eye(3)
@@ -173,16 +145,11 @@ def check_gradient_fd(n, rng):
         def batched(p, spec=spec):
             fd = (spec.values(p[:, None] + steps) - spec.values(p[:, None] - steps)) / (2 * h)
             g = spec.gradients(p)
-            return _norm(fd - g, -1) / np.maximum(1e-12, _norm(g, -1))
-
-        def public(p, spec=spec):
-            g = field_gradient(spec, p)
-            fd = [(field_eval(spec, p + e) - field_eval(spec, p - e)) / (2 * h) for e in steps]
-            return float(np.linalg.norm(fd - g)) / max(1e-12, float(np.linalg.norm(g)))
+            return np.linalg.norm(fd - g, axis=-1) / np.maximum(1e-12, np.linalg.norm(g, axis=-1))
 
         m = n // len(specs) + (j < n % len(specs))
-        worst = max(worst, _worst(m, rng, draw, batched, public, PUBLIC // len(specs)))
-    return _result("field gradient vs FD", n, worst, 1e-6)
+        worst = max(worst, _worst(m, rng, draw, batched))
+    return ("field gradient vs FD", n, worst, 1e-6, worst <= 1e-6)
 
 
 def _closed_loop_log(n_steps_scale=1.0):

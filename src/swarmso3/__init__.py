@@ -58,8 +58,6 @@ from .so3 import (
     log_so3,
     project_to_so3,
     rotation_angle,
-    rotation_from_flat,
-    rotation_to_flat,
     vee,
 )
 

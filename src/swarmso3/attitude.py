@@ -4,9 +4,9 @@ The error matrix is R_e = R_d^T R; its rotation angle mu is the tracking
 error. Two control laws: full feed-forward (the reference rate is fully
 known) and known-only feed-forward (the reference rate has an unknown
 component, compensated by raising the gain via `gain_for_bounded_rate`).
-The private `_error`, `_feedforward` and `_alignment` take a leading
-batch axis of agents; the public functions and the simulator's step both
-call them.
+The private `_error` and `_feedforward` take a leading batch axis of
+agents, and `_alignment` any leading batch shape; the public functions
+and the simulator both call them.
 """
 
 from dataclasses import dataclass, field
@@ -60,8 +60,8 @@ class ControllerConfig:
         object.__setattr__(self, "delta_star", float(self.delta_star))
         mu_star = self.delta_star if self.mu_star is None else self.mu_star
         object.__setattr__(self, "mu_star", float(mu_star))
-        if self.k_w is None or not self.k_w > 0:
-            raise ValueError("k_w must be given and positive")
+        if self.k_w is None or not 0 < self.k_w < np.inf:
+            raise ValueError("k_w must be given, positive and finite")
         if not (0 < self.mu_star <= self.delta_star <= np.pi):
             raise ValueError("need 0 < mu_star <= delta_star <= pi")
 
@@ -83,11 +83,13 @@ _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _alignment(x_b, m_d):
-    """Great-circle angles between headings x_b (..., 3) and one m_d, as
-    atan2(|x_b x m_d|, x_b . m_d), which keeps full precision near 0. The
-    cross product is formed elementwise, so it is exactly 0 for x_b = m_d."""
-    cross = x_b[..., _NEXT] * m_d[_PREV] - x_b[..., _PREV] * m_d[_NEXT]
-    return np.arctan2(np.linalg.norm(cross, axis=-1), x_b @ m_d)
+    """Great-circle angles between headings x_b (..., 3) and m_d (..., 3),
+    broadcast against each other, as atan2(|x_b x m_d|, x_b . m_d), which
+    keeps full precision near 0. Cross and dot products are formed
+    elementwise, so the cross is exactly 0 for x_b = m_d and each angle
+    has the same bits however the headings are stacked."""
+    cross = x_b[..., _NEXT] * m_d[..., _PREV] - x_b[..., _PREV] * m_d[..., _NEXT]
+    return np.arctan2(np.linalg.norm(cross, axis=-1), (x_b * m_d).sum(axis=-1))
 
 
 def attitude_error(r_d, r) -> AttitudeError:

@@ -37,22 +37,43 @@ class GainPlan:
     epsilon_max: float
 
 
+def _barycentric(p):
+    """(centroid, x, radius) of positions (..., N, 3): the centroids, the
+    barycentric coordinates x_i = p_i - centroid and max_i ||x_i||, one
+    per leading index. Unchecked; the simulator's loop and post-pass call
+    it on (N, 3) snapshots and (steps, N, 3) blocks of the log."""
+    pc = p.mean(axis=-2)
+    x = p - pc[..., None, :]
+    return pc, x, np.sqrt((x * x).sum(axis=-1).max(axis=-1))
+
+
+def _covariance(x):
+    """P = (1/N) sum_i x_i x_i^T of barycentric coordinates x (..., N, 3)."""
+    return np.swapaxes(x, -1, -2) @ x / x.shape[-2]
+
+
 def deployment_stats(positions) -> DeploymentStats:
     p = np.ascontiguousarray(positions, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
         raise ValueError("positions must be a non-empty (N, 3) array")
     if not np.all(np.isfinite(p)):
         raise ValueError("positions must be finite")
-    pc = p.mean(axis=0)
-    x = p - pc
-    cov = x.T @ x / p.shape[0]
+    pc, x, radius = _barycentric(p)
+    cov = _covariance(x)
     return DeploymentStats(
         centroid=pc,
         x=x,
         covariance=cov,
         lambda_min=float(np.linalg.eigvalsh(cov)[0]),
-        radius=float(np.sqrt((x * x).sum(axis=1).max())),
+        radius=float(radius),
     )
+
+
+def _ascending(sigma, x, radius):
+    """`ascending_direction` from the stats' x and radius, unchecked."""
+    if radius <= 0.0:
+        raise DegenerateDirection("all agents collocated (D = 0)")
+    return (sigma @ x) / (sigma.shape[0] * radius**2)
 
 
 def ascending_direction(sigma_samples, stats: DeploymentStats) -> np.ndarray:
@@ -65,9 +86,7 @@ def ascending_direction(sigma_samples, stats: DeploymentStats) -> np.ndarray:
     sigma = np.ascontiguousarray(sigma_samples, dtype=np.float64)
     if sigma.shape != (stats.x.shape[0],):
         raise ValueError("need exactly one field sample per agent")
-    if stats.radius <= 0.0:
-        raise DegenerateDirection("all agents collocated (D = 0)")
-    return (sigma @ stats.x) / (sigma.shape[0] * stats.radius**2)
+    return _ascending(sigma, stats.x, stats.radius)
 
 
 def heading_field(ell, eps_norm: float = 1e-9) -> np.ndarray:
@@ -94,7 +113,8 @@ def pairwise_displacement_bound(s: float, k_w: float) -> float:
 def epsilon_max(stats0: DeploymentStats) -> float:
     """Largest per-agent displacement that provably preserves full rank.
 
-    Positive root of 2 D0 e + e^2 = lambda_min(P(0)). Raises
+    The positive root e of covariance_perturbation_bound(e, stats0) =
+    lambda_min(P(0)), i.e. of 2 D0 e + e^2 = lambda_min(P(0)). Raises
     DegenerateDeployment when the root is not positive: lambda_min <= 0,
     or a lambda_min so small next to D0^2 (a nearly coplanar swarm) that
     the root rounds to 0. This is the one test of whether gains can be
@@ -132,12 +152,17 @@ def plan_gains(
     return GainPlan(k1=k1, k2=k2, k_w=max(k1, k2), epsilon_max=eps)
 
 
-def covariance_perturbation_bound(eps: float, stats0: DeploymentStats) -> float:
+def covariance_perturbation_bound(eps, stats0: DeploymentStats):
     """Spectral-norm bound 2 D0 eps + eps^2 on the covariance change when
-    every barycentric coordinate moves by at most eps."""
-    if eps < 0:
+    every barycentric coordinate moves by at most eps.
+
+    eps is a scalar, giving a float, or an array of them, giving the
+    bound of each; every eps must be >= 0.
+    """
+    if np.any(np.asarray(eps) < 0):
         raise ValueError("eps must be >= 0")
-    return float(2.0 * stats0.radius * eps + eps * eps)
+    bound = 2.0 * stats0.radius * eps + eps * eps
+    return bound if np.ndim(eps) else float(bound)
 
 
 def weyl_floor_violation(positions, lambda_min) -> float:
@@ -152,5 +177,5 @@ def weyl_floor_violation(positions, lambda_min) -> float:
     stats0 = deployment_stats(positions[0])
     x = positions - positions.mean(axis=1, keepdims=True)
     eps = np.sqrt(np.max(np.sum((x - x[0]) ** 2, axis=2), axis=1))
-    floor = stats0.lambda_min - (2.0 * stats0.radius * eps + eps * eps)
+    floor = stats0.lambda_min - covariance_perturbation_bound(eps, stats0)
     return float(np.max(floor - lambda_min))

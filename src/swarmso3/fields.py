@@ -20,6 +20,8 @@ def _spd_matrix(value, name: str, power: int) -> np.ndarray:
     the result must be positive definite. Widths take power 2,
     curvatures power 1."""
     v = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
     if v.ndim == 0:
         m = np.eye(3) * float(v) ** power
     elif v.shape == (3,):
@@ -62,6 +64,8 @@ class FieldSpec:
         if src.shape != (3,) or not np.all(np.isfinite(src)):
             raise ValueError("source must be a finite 3-vector")
         object.__setattr__(self, "source", src)
+        if not np.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
 
         if self.kind == "gaussian":
             if not self.amplitude > 0:
@@ -95,8 +99,8 @@ class FieldSpec:
                 if c_src.shape != (3,) or not np.all(np.isfinite(c_src)):
                     raise ValueError("component sources must be finite 3-vectors")
                 c_amp = float(comp["amplitude"])
-                if not c_amp > 0:
-                    raise ValueError("component amplitudes must be positive")
+                if not 0 < c_amp < np.inf:
+                    raise ValueError("component amplitudes must be positive and finite")
                 c_w = _spd_matrix(comp.get("width", 1.0), "width", 2)
                 rows.append(c_src)
                 amps_l.append(c_amp)

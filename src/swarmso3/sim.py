@@ -1,7 +1,7 @@
 """Deterministic fixed-step closed-loop simulator.
 
 N constant-speed unicycle agents track one shared reference attitude.
-Per step: (1) snapshot the swarm, (2) refresh stats and the reference
+Per step: (1) snapshot the swarm, (2) refresh the reference
 (source-seeking recomputes the target heading from the snapshot),
 (3) record, (4) evaluate every control from the snapshot, (5) apply all
 agent steps and the reference's designed spin. The attitude update is
@@ -15,6 +15,17 @@ attitude array, one row per agent, and `run` is a loop over the private
 per-step API (`reference_body_rates`, `advance_desired`,
 `complete_frame`, `step_agent`) calls those same functions, so the step
 rule is written once.
+
+`_step` computes only what the control law reads back: in
+source-seeking the barycentric coordinates and radius of the snapshot
+and the field at the agents, then the error, the rates and the new
+poses. It records t, p, r, r_d, mu, unknown_rate and hold. The
+log-only columns (delta, lambda_min, sigma_centroid, dist_to_source,
+max_pair_disp, rate_violation) feed nothing back, so `_derived`
+computes them once after the loop from the stored p, r, r_d and
+unknown_rate, in blocks of steps whose pair scan fits BLOCK_BYTES. Each
+value has the same bits as the per-step public functions give
+(`deployment_stats`, `heading_alignment_delta`, `FieldSpec.values`).
 
 Reference-rate conventions (`rate_frame`):
   "literal": the total reference rate R_d^T w_known + w_unknown is an
@@ -31,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attitude import ControllerConfig, _alignment, _error, _feedforward
-from .deployment import ascending_direction, deployment_stats, heading_field
+from .deployment import _ascending, _barycentric, _covariance, deployment_stats, heading_field
 from .errors import AntipodalHeading, DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
 from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _polar, _vee, is_rotation
@@ -39,6 +50,7 @@ from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _polar, _vee, is_rotation
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
 RATE_FRAMES = ("literal", "body")
 PROJECT_EVERY = 1000  # steps between projections of the attitudes and r_d onto SO(3)
+BLOCK_BYTES = 1 << 20  # bytes of one pair-scan block in `_diameter` and `_derived`
 
 
 @dataclass(frozen=True)
@@ -91,12 +103,15 @@ class DesiredAttitudeTrajectory:
             raise ValueError("r_d is not a rotation matrix")
         object.__setattr__(self, "r_d", r)
         object.__setattr__(self, "target", r[:, 0].copy())
-        object.__setattr__(self, "omega_known", _arr3(self.omega_known))
-        object.__setattr__(self, "omega_unknown", _arr3(self.omega_unknown))
+        for name in ("omega_known", "omega_unknown"):
+            w = _arr3(getattr(self, name))
+            if not np.isfinite(w).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, w)
         if self.mode == "constant" and (self.omega_known.any() or self.omega_unknown.any()):
             raise ValueError("constant mode requires zero omega_known and omega_unknown")
-        if not self.omega_max_declared >= 0:
-            raise ValueError("omega_max_declared must be >= 0")
+        if not 0 <= self.omega_max_declared < np.inf:
+            raise ValueError("omega_max_declared must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -112,13 +127,17 @@ class PlacementSpec:
         if self.kind not in ("explicit", "ball"):
             raise ValueError(f"unknown placement kind {self.kind!r}")
         object.__setattr__(self, "center", _arr3(self.center))
+        if not np.isfinite(self.center).all():
+            raise ValueError("placement center must be finite")
         if self.kind == "explicit":
             pos = np.ascontiguousarray(self.positions, dtype=np.float64)
             if pos.ndim != 2 or pos.shape[1] != 3:
                 raise ValueError("explicit placement needs an (N, 3) position list")
+            if not np.isfinite(pos).all():
+                raise ValueError("explicit placement positions must be finite")
             object.__setattr__(self, "positions", pos)
-        elif not self.radius > 0:
-            raise ValueError("ball placement needs a positive radius")
+        elif not 0 < self.radius < np.inf:
+            raise ValueError("ball placement needs a positive, finite radius")
 
 
 @dataclass(frozen=True)
@@ -166,6 +185,8 @@ class SimConfig:
     def __post_init__(self):
         for name in ("speed", "dt", "t_end"):
             object.__setattr__(self, name, float(getattr(self, name)))
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
         if self.seed < 0:
@@ -259,18 +280,19 @@ def _turn(heading, target):
     return vh + (1.0 / (1.0 + c)) * (vh @ vh) + _I3
 
 
-def _retarget(r_d, target, positions, stats, field):
-    """Turn r_d so its first column follows the swarm's ascending estimate.
+def _retarget(r_d, target, sigma, x, radius):
+    """Turn r_d so its first column follows the swarm's ascending estimate,
+    built from the field samples sigma at the agents, their barycentric
+    coordinates x and radius max ||x_i||.
 
     Returns (r_d, target, held, tau_c): the turned reference, the heading
     it now targets, the hold flag and the rotation vector of the applied
     turn. A vanishing estimate holds the last target; an antipodal target
     leaves r_d and the target as they were (tau_c = 0).
     """
-    sigma = field.values(positions)
     held = False
     try:
-        ell = ascending_direction(sigma, stats)
+        ell = _ascending(sigma, x, radius)
         md = heading_field(ell, eps_norm=1e-9 * (1.0 + float(np.abs(sigma).max())))
     except DegenerateDirection:
         held, md = True, target
@@ -289,46 +311,43 @@ def _move(p, r, w, s, dt):
     return p + dt * s * r_half[..., :, 0], r_half @ e_half
 
 
-def _diameter(u, block_bytes=1 << 20):
-    """max_{i<j} ||u_i - u_j|| over the rows of u, in row blocks of
-    block_bytes, so the extra memory is O(N) rather than O(N^2)."""
-    n = u.shape[0]
-    rows = max(1, block_bytes // (24 * n))
-    worst = 0.0
+def _diameter(u, block_bytes=BLOCK_BYTES):
+    """max_{i<j} ||u_i - u_j|| over the rows of u (..., N, 3), one value
+    per leading index, in row blocks of block_bytes, so the extra memory
+    is O(N) per leading index rather than O(N^2)."""
+    n, lead = u.shape[-2], u.shape[:-2]
+    rows = max(1, block_bytes // (24 * n * int(np.prod(lead))))
+    worst = np.zeros(lead)
     for i in range(0, n - 1, rows):
-        d = u[i : i + rows, None, :] - u[None, i:, :]
-        worst = max(worst, float((d * d).sum(axis=-1).max()))
+        d = u[..., i : i + rows, None, :] - u[..., None, i:, :]
+        d *= d
+        worst = np.maximum(worst, d.sum(axis=-1).max(axis=(-2, -1)))
     return np.sqrt(worst)
 
 
-def _step(config, p0, state, k):
-    """Step k of the closed loop for the whole swarm.
+def _step(config, state, k):
+    """Step k of the closed loop for the whole swarm, control path only.
 
     state is (p (N, 3), r (N, 3, 3), r_d, target). Returns (record, next
-    state, ok): one value per SimLog column for t_k, the state at t_{k+1}
-    (None after the last step or when an agent hit the log singularity)
-    and the per-agent ok mask of the error log.
+    state, ok): the stored values (t, p, r, r_d, mu, unknown_rate, hold)
+    at t_k, the state at t_{k+1} (None after the last step or when an
+    agent hit the log singularity) and the per-agent ok mask of the error
+    log.
     """
     p, r, r_d, target = state
-    trj, fld, dt = config.trajectory, config.field, config.dt
-    stats = deployment_stats(p)
-    sigma_c = dist = np.nan
-    if fld is not None:
-        sigma_c = fld.values(stats.centroid)
-        dist = np.linalg.norm(stats.centroid - fld.source)
+    trj, dt = config.trajectory, config.dt
     held, wu_norm = False, 0.0
     if trj.mode == "source-seeking":
-        r_d, target, held, tau_c = _retarget(r_d, target, p, stats, fld)
+        _, x, radius = _barycentric(p)
+        r_d, target, held, tau_c = _retarget(
+            r_d, target, config.field.values(p), x, float(radius)
+        )
         if k > 0:
             wu_norm = np.linalg.norm(tau_c) / dt
     else:
         wu_norm = np.linalg.norm(trj.omega_unknown)
     r_e, tau_e, mu, ok = _error(r_d, r)
-    record = (
-        k * dt, p, r, r_d, mu, _alignment(r[:, :, 0], r_d[:, 0]),
-        stats.lambda_min, sigma_c, dist, _diameter(p - p0), wu_norm, held,
-        wu_norm > trj.omega_max_declared + 1e-12,
-    )
+    record = (k * dt, p, r, r_d, mu, wu_norm, held)
     if k == config.n_steps or not ok.all():
         return record, None, ok
     wk, wu = _body_rates(config.rate_frame, r_d, trj.omega_known, trj.omega_unknown)
@@ -393,8 +412,9 @@ def advance_desired(
     if positions is None or field is None:
         raise ValueError("source-seeking advance needs positions and a field")
     positions = np.ascontiguousarray(positions, dtype=np.float64)
+    stats = deployment_stats(positions)
     r_d, target, held, tau_c = _retarget(
-        r_d, traj.target, positions, deployment_stats(positions), field
+        r_d, traj.target, field.values(positions), stats.x, stats.radius
     )
     out = replace(traj, r_d=r_d, omega_unknown=tau_c / dt, held=held)
     object.__setattr__(out, "target", target)
@@ -427,49 +447,87 @@ def _initial_conditions(config: SimConfig):
     return np.ascontiguousarray(p), np.ascontiguousarray(r)
 
 
+def _derived(config, p, r, r_d, unknown_rate):
+    """The log-only columns of a (possibly partial) log: (delta,
+    lambda_min, sigma_centroid, dist_to_source, max_pair_disp,
+    rate_violation), from its positions p, attitudes r, references r_d
+    and unknown rates.
+
+    Works in blocks of steps whose pair scan fits BLOCK_BYTES, so the
+    extra memory is O(N) beyond the log. Raises ValueError for a
+    non-finite position log, as `deployment_stats` does for one snapshot.
+    """
+    if not np.isfinite(p).all():
+        raise ValueError("positions must be finite")
+    m, n = p.shape[:2]
+    fld = config.field
+    delta, lam, pair = np.empty((m, n)), np.empty(m), np.empty(m)
+    sigma_c, dist = np.full(m, np.nan), np.full(m, np.nan)
+    steps = max(1, BLOCK_BYTES // (24 * n * n))
+    for a in range(0, m, steps):
+        blk = slice(a, a + steps)
+        pc, x, _ = _barycentric(p[blk])
+        lam[blk] = np.linalg.eigvalsh(_covariance(x))[:, 0]
+        delta[blk] = _alignment(r[blk, :, :, 0], r_d[blk, None, :, 0])
+        pair[blk] = _diameter(p[blk] - p[0])
+        if fld is not None:
+            sigma_c[blk] = fld.values(pc)
+            # a stacked row-by-column product is the same BLAS dot that
+            # np.linalg.norm takes for one vector, so each distance has
+            # the bits of the norm of its own centroid offset
+            d = pc - fld.source
+            dist[blk] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    violation = unknown_rate > config.trajectory.omega_max_declared + 1e-12
+    return delta, lam, sigma_c, dist, pair, violation.astype(np.int8)
+
+
+def _finish(config, stored, rows, **abort):
+    """SimLog of the first `rows` records of the stored columns (t, p, r,
+    r_d, mu, unknown_rate, hold), with the log-only columns derived."""
+    t, p, r, r_d, mu, wu, hold = (c[:rows] for c in stored)
+    delta, lam, sigma_c, dist, pair, violation = _derived(config, p, r, r_d, wu)
+    arrays = (t, p, r, r_d, mu, delta, lam, sigma_c, dist, pair, wu, hold, violation)
+    return SimLog(config, None, config.controller.k_w, arrays, **abort)
+
+
 def run(config: SimConfig) -> SimLog:
     """Execute the closed loop; deterministic for a fixed config.
 
     Raises NearPiSingularity (with .partial_log holding the records up to
-    the offending step) if any agent's error hits the log singularity.
+    the offending step) if any agent's error hits the log singularity,
+    and ValueError if the state stops being finite.
     """
     p, r = _initial_conditions(config)
-    k_w = config.controller.k_w
-
     n, m = config.n_agents, config.n_steps + 1
-    arrays = (
+    stored = (
         np.zeros(m),
         np.zeros((m, n, 3)),
         np.zeros((m, n, 3, 3)),
         np.zeros((m, 3, 3)),
         np.zeros((m, n)),
-        np.zeros((m, n)),
         np.zeros(m),
-        np.zeros(m),
-        np.zeros(m),
-        np.zeros(m),
-        np.zeros(m),
-        np.zeros(m, dtype=np.int8),
         np.zeros(m, dtype=np.int8),
     )
-    p0, r_d = p, config.trajectory.r_d
+    r_d = config.trajectory.r_d
     state = (p, r, r_d, r_d[:, 0].copy())
     for k in range(m):
-        record, state, ok = _step(config, p0, state, k)
-        for column, value in zip(arrays, record):
+        record, state, ok = _step(config, state, k)
+        for column, value in zip(stored, record):
             column[k] = value
         if not ok.all():
-            partial = SimLog(
-                config,
-                None,
-                k_w,
-                tuple(a[:k] for a in arrays),
-                aborted=True,
-                abort_reason=f"attitude error of agent {int(np.argmin(ok))} reached "
-                f"the log singularity at step {k}",
+            # a blown-up state also fails the log's angle test; it is not
+            # a singularity of the control law
+            if not all(np.isfinite(a).all() for a in record[1:4]):
+                raise ValueError(
+                    f"positions, attitudes and the reference must be finite; step {k} is not"
+                )
+            reason = (
+                f"attitude error of agent {int(np.argmin(ok))} reached "
+                f"the log singularity at step {k}"
             )
-            raise NearPiSingularity(partial.abort_reason, partial_log=partial)
+            partial = _finish(config, stored, k, aborted=True, abort_reason=reason)
+            raise NearPiSingularity(reason, partial_log=partial)
         if state is not None and (k + 1) % PROJECT_EVERY == 0:
             p, r, r_d, target = state
             state = (p, _polar(r), _polar(r_d), target)
-    return SimLog(config, None, k_w, arrays)
+    return _finish(config, stored, m)

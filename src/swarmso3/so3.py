@@ -12,9 +12,6 @@ single-rotation case (empty batch shape) of one of them, with shape
 checks and typed errors added. The closed forms and their small-angle
 series follow Sola et al., "A micro Lie theory for state estimation in
 robotics", arXiv:1812.01537.
-
-Serialization convention for rotations everywhere in this package:
-row-major flattening to 9 values.
 """
 
 import numpy as np
@@ -239,18 +236,3 @@ def is_rotation(r, tol: float = 1e-9) -> bool:
     if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
         return False
     return bool(abs(np.linalg.det(r) - 1.0) <= tol)
-
-
-def rotation_to_flat(r) -> list:
-    """Row-major 9-element serialization, the inverse of `rotation_from_flat`."""
-    return [float(v) for v in _mat3(r).reshape(9)]
-
-
-def rotation_from_flat(values) -> np.ndarray:
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape != (9,):
-        raise ValueError("rotation serialization must have 9 values (row-major)")
-    r = vals.reshape(3, 3)
-    if not is_rotation(r, tol=1e-6):
-        raise ValueError("deserialized matrix is not a rotation")
-    return np.ascontiguousarray(r)

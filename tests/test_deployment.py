@@ -176,6 +176,12 @@ def test_covariance_perturbation_bound_values():
     assert covariance_perturbation_bound(0.009045, st) == pytest.approx(0.07009, abs=1e-5)
     with pytest.raises(ValueError):
         covariance_perturbation_bound(-1.0, st)
+    eps = np.array([0.0, 0.009045, 0.5])
+    bounds = covariance_perturbation_bound(eps, st)
+    assert bounds.shape == (3,)
+    assert all(bounds[i] == covariance_perturbation_bound(float(e), st) for i, e in enumerate(eps))
+    with pytest.raises(ValueError):
+        covariance_perturbation_bound(np.array([0.1, -1.0]), st)
 
 
 def test_epsilon_max_is_root_of_perturbation_bound():

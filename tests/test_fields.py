@@ -118,3 +118,25 @@ def test_width_validation():
         FieldSpec(kind="gaussian", source=[0, 0, 0], amplitude=1.0, width=[[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         FieldSpec(kind="gaussian", source=[0, 0, 0], amplitude=-1.0, width=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(kind="gaussian", amplitude=np.inf), "amplitude must be finite"),
+        (dict(kind="quadratic", amplitude=np.inf, curvature=1.0, domain_radius=1.0),
+         "amplitude must be finite"),
+        (dict(kind="gaussian", width=[1.0, np.inf, 1.0]), "width must be finite"),
+        (dict(kind="quadratic", amplitude=1e6, curvature=np.nan, domain_radius=1.0),
+         "curvature must be finite"),
+        (dict(kind="sum_of_gaussians",
+              components=({"source": [0.0, 0.0, 0.0], "amplitude": np.inf},)),
+         "component amplitudes must be positive and finite"),
+    ],
+    ids=["amplitude", "quadratic-amplitude", "width", "curvature", "component-amplitude"],
+)
+def test_non_finite_field_parameters_rejected(kwargs, match):
+    # a non-finite parameter is named here, not passed on to eigvalsh or
+    # into a run whose first reference update turns nan
+    with pytest.raises(ValueError, match=match):
+        FieldSpec(source=[0.0, 0.0, 0.0], **kwargs)

@@ -158,6 +158,29 @@ def test_cli_simulate_singularity_exits_3(tmp_path, capsys):
     assert summary["abort_reason"].endswith("at step 0")
 
 
+def test_cli_simulate_mid_run_singularity_exits_3(tmp_path, capsys):
+    # fig3 at seed 24: agent 0's error reaches the log singularity at step 1523
+    out = tmp_path / "out"
+    assert main(["simulate", "fig3", "--out", str(out), "--seed", "24"]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"] and not summary["flags"]["completed"]
+    assert summary["abort_reason"].endswith("agent 0 reached the log singularity at step 1523")
+    assert len((out / "steps.csv").read_text().splitlines()) == 2 + 1523
+
+
+def test_cli_simulate_blown_up_state_exits_2(tmp_path, capsys):
+    # k_w * dt = 5e297 makes every attitude nan after one step: a config
+    # error, not the log singularity the nan attitudes also trip
+    data = _bases()["fig3"]
+    data["controller"]["k_w"] = 1e300
+    scenario_file = tmp_path / "blowup.scenario"
+    scenario_file.write_text(yaml.safe_dump(data))
+    with np.errstate(all="ignore"):
+        code = main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_cli_validate_quick(capsys):
     assert main(["validate", "--quick"]) == 0
     out = capsys.readouterr().out
@@ -276,8 +299,21 @@ def test_scalar_curvature_is_a_multiple_of_identity():
         (None, "seed", -1, "seed"),
         ("attitudes", "matrices", [[1.0, 0, 0, 0, 1, 0, 0, 0, 2]], "not a rotation"),
         ("controller", "k_w", None, "k_w"),
+        ("controller", "k_w", float("inf"), "k_w must be given, positive and finite"),
+        (None, "speed", float("inf"), "speed must be finite"),
+        (None, "dt", float("inf"), "dt must be finite"),
+        (None, "t_end", float("inf"), "t_end must be finite"),
+        ("trajectory", "omega_known", [float("inf"), 0.0, 0.0], "omega_known must be finite"),
+        ("trajectory", "omega_unknown", [0.0, float("nan"), 0.0], "omega_unknown must be finite"),
+        ("trajectory", "omega_max", float("inf"), "omega_max_declared must be >= 0 and finite"),
+        ("placement", "center", [0.0, 0.0, float("-inf")], "center must be finite"),
+        ("placement", "positions", [[0.0, float("nan"), 0.0]], "positions must be finite"),
     ],
-    ids=["constant-rates", "seed", "matrices", "k_w"],
+    ids=[
+        "constant-rates", "seed", "matrices", "k_w", "k_w-inf", "speed-inf", "dt-inf",
+        "t_end-inf", "omega_known-inf", "omega_unknown-nan", "omega_max-inf",
+        "center-inf", "positions-nan",
+    ],
 )
 def test_checks_moved_into_the_config_classes(block, key, value, match):
     data = _bases()["prop1_smoke"]

@@ -23,12 +23,15 @@ from swarmso3 import (
     control_known_ff,
     exp_so3,
     hat,
+    heading_alignment_delta,
     run,
     step_agent,
 )
+from swarmso3 import validate
 from swarmso3.deployment import deployment_stats, weyl_floor_violation
 from swarmso3.reporting import step_table_text, summarize
 from swarmso3.scenario import parse_scenario, scenario_to_config
+from swarmso3.sim import _diameter
 
 RNG = np.random.default_rng(55)
 
@@ -419,14 +422,85 @@ def test_weyl_floor_violation_matches_per_step_bound():
 def test_pair_displacement_is_diameter_of_offsets(block_bytes):
     # max_ij ||(p_i - p_j) - (p_i0 - p_j0)|| by brute force over pairs,
     # against the blocked diameter of u_i = p_i - p_i0 (several row blocks
-    # when block_bytes is small)
-    from swarmso3.sim import _diameter
-
+    # when block_bytes is small), for one (N, 3) step and for a
+    # (steps, N, 3) stack of them
     p0 = RNG.normal(size=(23, 3)) * 3.0
-    p = p0 + RNG.normal(size=(23, 3))
-    pairs = [
-        np.linalg.norm((p[i] - p[j]) - (p0[i] - p0[j]))
-        for i in range(23) for j in range(i + 1, 23)
-    ]
-    assert _diameter(p - p0, block_bytes) == pytest.approx(max(pairs), rel=1e-14)
-    assert _diameter(p[:1] - p0[:1], block_bytes) == 0.0
+    for lead in [(), (4,)]:
+        p = p0 + RNG.normal(size=lead + (23, 3))
+        got = _diameter(p - p0, block_bytes)
+        assert got.shape == lead
+        for idx in np.ndindex(*lead):
+            pairs = [
+                np.linalg.norm((p[idx][i] - p[idx][j]) - (p0[i] - p0[j]))
+                for i in range(23) for j in range(i + 1, 23)
+            ]
+            assert got[idx] == pytest.approx(max(pairs), rel=1e-14)
+        assert np.array_equal(_diameter(p[..., :1, :] - p0[:1], block_bytes), np.zeros(lead))
+
+
+def _fig3(**changes):
+    text = resources.files("swarmso3").joinpath("scenarios", "fig3.scenario")
+    cfg = scenario_to_config(parse_scenario(text.read_text(encoding="utf-8")))
+    return dataclasses.replace(cfg, **changes)
+
+
+def _aborted_fig3():
+    # fig3 at seed 24: agent 0's error reaches the log singularity at step 1523
+    with pytest.raises(NearPiSingularity) as exc_info:
+        run(_fig3(seed=24))
+    return exc_info.value.partial_log
+
+
+@pytest.mark.parametrize(
+    "make_log",
+    [
+        lambda: validate._closed_loop_log(1.0),
+        lambda: run(_fig3(t_end=0.5)),
+        _aborted_fig3,
+    ],
+    ids=["validate-prescribed", "fig3-short", "fig3-aborted"],
+)
+def test_log_only_columns_equal_the_public_functions(make_log):
+    # the post-pass fills these columns from stacked calls; each value
+    # must have the bits the per-step public functions give
+    log = make_log()
+    cfg = log.config
+    assert len(log) > 100
+    for k in range(len(log)):
+        stats = deployment_stats(log.p[k])
+        assert log.lambda_min[k] == stats.lambda_min, k
+        assert log.max_pair_disp[k] == _diameter(log.p[k] - log.p[0]), k
+        for i in range(cfg.n_agents):
+            delta = heading_alignment_delta(log.r[k, i, :, 0], log.r_d[k, :, 0])
+            assert log.delta[k, i] == delta, (k, i)
+        if cfg.field is None:
+            assert np.isnan(log.sigma_centroid[k]) and np.isnan(log.dist_to_source[k])
+        else:
+            assert log.sigma_centroid[k] == cfg.field.values(stats.centroid), k
+            dist = np.linalg.norm(stats.centroid - cfg.field.source)
+            assert log.dist_to_source[k] == dist, k
+        violation = log.unknown_rate[k] > cfg.trajectory.omega_max_declared + 1e-12
+        assert log.rate_violation[k] == violation, k
+
+
+def _huge_gain(cfg):
+    return dataclasses.replace(cfg, controller=dataclasses.replace(cfg.controller, k_w=1e300))
+
+
+@pytest.mark.parametrize(
+    "make_config, blow_up",
+    [
+        (lambda: validate._closed_loop_log(0.25).config, _huge_gain),
+        (_fig3, _huge_gain),
+        (lambda: validate._closed_loop_log(0.25).config,
+         lambda cfg: dataclasses.replace(cfg, speed=1e308)),
+    ],
+    ids=["validate-k_w", "fig3-k_w", "validate-speed"],
+)
+def test_blown_up_state_is_a_value_error(make_config, blow_up):
+    # k_w = 1e300 turns every attitude into nan after one step; that is a
+    # config error (exit 2), not the log singularity it also trips. At
+    # speed 1e308 the positions overflow while the attitudes stay finite,
+    # so only the check on the stored position log sees it.
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+        run(blow_up(make_config()))

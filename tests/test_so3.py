@@ -16,8 +16,6 @@ from swarmso3 import (
     lie_bracket,
     log_so3,
     project_to_so3,
-    rotation_from_flat,
-    rotation_to_flat,
     vee,
 )
 
@@ -282,11 +280,3 @@ def test_project_to_so3_repairs_drift():
 def test_project_to_so3_rejects_garbage():
     with pytest.raises(ValueError):
         project_to_so3(np.eye(3) * 2.0)
-
-
-def test_rotation_flat_roundtrip():
-    r = exp_so3(random_rotvec(RNG))
-    flat = rotation_to_flat(r)
-    assert len(flat) == 9
-    assert flat[1] == r[0, 1]  # row-major
-    assert np.array_equal(rotation_from_flat(flat), r)

@@ -10,7 +10,6 @@ from .attitude import (
     error_rate,
     gain_for_bounded_rate,
     heading_alignment_delta,
-    lyapunov_value,
 )
 from .deployment import (
     DeploymentStats,

@@ -105,7 +105,14 @@ def attitude_error(r_d, r) -> AttitudeError:
 
 
 def error_rate(omega, omega_d, r_e) -> np.ndarray:
-    """Body rate of the error matrix: Omega - Ad_{R_e^T}(Omega_d)."""
+    """Body rate of the error matrix: Omega - Ad_{R_e^T}(Omega_d).
+
+    Nothing in the simulator calls it: it states the error dynamics, and
+    with `control_full_ff` substituted for Omega it closes to exactly
+    -k_w log(R_e), the law behind the exp(-k_w t) decay of mu that
+    acceptance criterion C2 checks in the closed loop
+    (`test_control_closes_loop_to_pure_decay` pins the closure).
+    """
     omega, omega_d, r_e = _mat3(omega), _mat3(omega_d), _mat3(r_e)
     return omega - _adjoint(r_e.T, omega_d)
 
@@ -138,20 +145,6 @@ def gain_for_bounded_rate(omega_max: float, mu_star: float) -> float:
     if omega_max < 0:
         raise ValueError("omega_max must be >= 0")
     return float(np.sqrt(2.0) * omega_max / mu_star)
-
-
-def lyapunov_value(err: AttitudeError, variant: str = "tracking") -> float:
-    """Diagnostic energy of the error.
-
-    "tracking": V = mu^2 (= 1/2 ||log R_e||_F^2), which decays at rate
-    2 k_w under the full feed-forward law. "robust": V = mu^2 / 4, the
-    scaling used in the bounded-rate analysis. Never fed back.
-    """
-    if variant == "tracking":
-        return float(err.mu**2)
-    if variant == "robust":
-        return float(0.25 * err.mu**2)
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 def heading_alignment_delta(x_b, m_d) -> float:

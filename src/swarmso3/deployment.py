@@ -11,6 +11,16 @@ import numpy as np
 
 from .errors import DegenerateDeployment, DegenerateDirection
 
+BLOCK_BYTES = 1 << 20  # bytes of one pair-scan block in the passes over a whole log
+
+
+def _block_steps(n):
+    """Steps per block of a pass over an N-agent log: as many as one
+    N x N pair scan fits in BLOCK_BYTES, so the block's (steps, N, 3)
+    temporaries take at most BLOCK_BYTES / N bytes and the extra memory
+    of the pass is O(N) beyond the log."""
+    return max(1, BLOCK_BYTES // (24 * n * n))
+
 
 @dataclass(frozen=True)
 class DeploymentStats:
@@ -52,6 +62,17 @@ def _covariance(x):
     return np.swapaxes(x, -1, -2) @ x / x.shape[-2]
 
 
+def _lambda_min(cov):
+    """Smallest eigenvalue of each covariance (..., 3, 3). Raises
+    ValueError when a covariance is not finite, which finite coordinates
+    beyond ~1e154 cause by overflowing their squares."""
+    if not np.isfinite(cov).all():
+        raise ValueError(
+            "the position covariance is not finite: coordinates this large overflow it"
+        )
+    return np.linalg.eigvalsh(cov)[..., 0]
+
+
 def deployment_stats(positions) -> DeploymentStats:
     p = np.ascontiguousarray(positions, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
@@ -64,7 +85,7 @@ def deployment_stats(positions) -> DeploymentStats:
         centroid=pc,
         x=x,
         covariance=cov,
-        lambda_min=float(np.linalg.eigvalsh(cov)[0]),
+        lambda_min=float(_lambda_min(cov)),
         radius=float(radius),
     )
 
@@ -172,10 +193,19 @@ def weyl_floor_violation(positions, lambda_min) -> float:
     smallest covariance eigenvalue per step. Step k's floor is
     lambda_min(P(0)) - (2 D0 e_k + e_k^2) with e_k = max_i ||x_i(t_k) -
     x_i(0)||; the result is max_k (floor_k - lambda_min_k), <= 0 when the
-    floor holds at every step.
+    floor holds at every step. The log is walked in blocks of
+    `_block_steps(N)` steps, so the extra memory is O(N) beyond it.
     """
     stats0 = deployment_stats(positions[0])
-    x = positions - positions.mean(axis=1, keepdims=True)
-    eps = np.sqrt(np.max(np.sum((x - x[0]) ** 2, axis=2), axis=1))
+    m, n = positions.shape[:2]
+    x0 = positions[:1] - positions[:1].mean(axis=1, keepdims=True)
+    eps = np.empty(m)
+    steps = _block_steps(n)
+    for a in range(0, m, steps):
+        p = positions[a : a + steps]
+        x = p - p.mean(axis=1, keepdims=True)
+        x -= x0
+        x *= x
+        eps[a : a + steps] = np.sqrt(x.sum(axis=2).max(axis=1))
     floor = stats0.lambda_min - covariance_perturbation_bound(eps, stats0)
     return float(np.max(floor - lambda_min))

@@ -9,7 +9,6 @@ there is no hidden state.
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 
@@ -79,16 +78,20 @@ def write_step_table(log, path):
         fh.writelines(_rows(log))
 
 
-def fit_decay_slope(t, mu, lo: float, hi: float):
-    """Least-squares slope of log(mu) over samples with mu in (lo, hi].
-
-    Returns (slope, n_samples); slope is nan with fewer than two samples.
-    """
-    mask = (mu > lo) & (mu <= hi) & np.isfinite(mu)
-    if int(mask.sum()) < 2:
-        return float("nan"), int(mask.sum())
-    coef = np.polyfit(t[mask], np.log(mu[mask]), 1)
-    return float(coef[0]), int(mask.sum())
+def _decay_slopes(t, mu, window):
+    """Least-squares slopes of log(mu) against t, one per row of mu
+    (N, M), over the samples where window (N, M) holds, by the centred
+    closed form sum w (t - tbar)(y - ybar) / sum w (t - tbar)^2 with
+    y = log(mu); nan for a row with fewer than two samples."""
+    count = window.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        t_bar = np.where(window, t, 0.0).sum(axis=-1, keepdims=True) / count
+        tc = np.where(window, t - t_bar, 0.0)
+        y = np.log(np.where(window, mu, 1.0))
+        y -= y.sum(axis=-1, keepdims=True) / count
+        y *= tc
+        slope = y.sum(axis=-1) / (tc * tc).sum(axis=-1)
+    return np.where(count[:, 0] >= 2, slope, np.nan)
 
 
 def summarize(log) -> dict:
@@ -97,9 +100,11 @@ def summarize(log) -> dict:
     Decay slopes are fitted on log(mu): against the window mu in
     [1e-6, mu(0)] when the reference rate is fully known, else on the
     approach segment above mu_star (samples before the first entry).
-    Raises ValueError for a log without records.
+    Every per-agent quantity is one array expression over the (M, N)
+    log. Raises ValueError for a log without records.
     """
-    if not len(log):
+    m = len(log)
+    if not m:
         raise ValueError("cannot summarize a log without records")
     cfg = log.config
     n = cfg.n_agents
@@ -111,33 +116,27 @@ def summarize(log) -> dict:
     disturbed = cfg.trajectory.mode == "source-seeking" or (
         float(np.linalg.norm(cfg.trajectory.omega_unknown)) > 0.0
     )
-    slopes, rel_errs, windows = [], [], []
-    entered, max_after_entry, stay_ok = [], [], []
-    for i in range(n):
-        mu_i = log.mu[:, i]
-        if disturbed:
-            above = np.nonzero(mu_i <= mu_star)[0]
-            cut = int(above[0]) if above.size else len(log)
-            slope, _ = fit_decay_slope(log.t[:cut], mu_i[:cut], mu_star, np.inf)
-            windows.append("above_mu_star")
-        else:
-            slope, _ = fit_decay_slope(log.t, mu_i, 1e-6, mu_i[0])
-            windows.append("mu_above_1e-6")
-        slopes.append(slope)
-        rel_errs.append(
-            abs(slope + k_w) / k_w if math.isfinite(slope) else float("nan")
-        )
-        delta_i = log.delta[:, i]
-        inb = np.nonzero(delta_i <= delta_star)[0]
-        if inb.size:
-            entered.append(True)
-            after = delta_i[int(inb[0]) :]
-            max_after_entry.append(float(after.max()))
-            stay_ok.append(bool(after.max() <= delta_star + band_slack))
-        else:
-            entered.append(False)
-            max_after_entry.append(float("nan"))
-            stay_ok.append(False)
+    steps = np.arange(m)
+    # agents as rows, so that each row's sums run over contiguous samples
+    mu = np.ascontiguousarray(log.mu.T)
+    if disturbed:
+        reached = mu <= mu_star
+        cut = np.where(reached.any(axis=1), reached.argmax(axis=1), m)
+        window = (steps < cut[:, None]) & (mu > mu_star)
+        window_name = "above_mu_star"
+    else:
+        window = (mu > 1e-6) & (mu <= mu[:, :1])
+        window_name = "mu_above_1e-6"
+    window &= np.isfinite(mu)
+    slopes = _decay_slopes(log.t, mu, window)
+    rel_errs = np.abs(slopes + k_w) / k_w
+    fit_ok = slopes <= -0.9 * k_w if disturbed else np.abs(slopes + k_w) <= 0.02 * k_w
+
+    inband = log.delta <= delta_star
+    entered = inband.any(axis=0)
+    after = np.where(steps[:, None] >= inband.argmax(axis=0), log.delta, -np.inf)
+    max_after_entry = np.where(entered, after.max(axis=0), np.nan)
+    stay_ok = entered & (max_after_entry <= delta_star + band_slack)
 
     # worst-case displacement budget vs what the run actually used
     displacement_budget = pairwise_displacement_bound(cfg.speed, k_w)
@@ -169,17 +168,17 @@ def summarize(log) -> dict:
         "abort_reason": log.abort_reason,
         "planned_gains": plan_dict,
         "decay": {
-            "window": windows[0],
-            "slope": slopes,
-            "rel_err_vs_k_w": rel_errs,
+            "window": window_name,
+            "slope": slopes.tolist(),
+            "rel_err_vs_k_w": rel_errs.tolist(),
         },
-        "final_mu": [float(v) for v in log.mu[-1]],
-        "final_delta": [float(v) for v in log.delta[-1]],
+        "final_mu": log.mu[-1].tolist(),
+        "final_delta": log.delta[-1].tolist(),
         "band": {
             "delta_star": delta_star,
             "slack": band_slack,
-            "entered": entered,
-            "max_after_entry": max_after_entry,
+            "entered": entered.tolist(),
+            "max_after_entry": max_after_entry.tolist(),
         },
         "lambda_min": {
             "initial": float(log.lambda_min[0]),
@@ -193,11 +192,8 @@ def summarize(log) -> dict:
         "rate_violations": int(log.rate_violation.sum()),
     }
     summary["flags"] = {
-        "decay_fit_ok": all(
-            math.isfinite(sl) and (sl <= -0.9 * k_w if disturbed else abs(sl + k_w) <= 0.02 * k_w)
-            for sl in slopes
-        ),
-        "band_ok": all(entered) and all(stay_ok),
+        "decay_fit_ok": bool((np.isfinite(slopes) & fit_ok).all()),
+        "band_ok": bool(stay_ok.all()),
         "displacement_ok": (not log.aborted) and max_disp <= displacement_budget,
         "lambda_min_positive": float(log.lambda_min.min()) > 0.0,
         "weyl_ok": weyl_worst <= 1e-9,

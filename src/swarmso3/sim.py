@@ -42,7 +42,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attitude import ControllerConfig, _alignment, _error, _feedforward
-from .deployment import _ascending, _barycentric, _covariance, deployment_stats, heading_field
+from .deployment import (
+    BLOCK_BYTES,
+    _ascending,
+    _barycentric,
+    _block_steps,
+    _covariance,
+    _lambda_min,
+    deployment_stats,
+    heading_field,
+)
 from .errors import AntipodalHeading, DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
 from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _polar, _vee, is_rotation
@@ -50,7 +59,6 @@ from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _polar, _vee, is_rotation
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
 RATE_FRAMES = ("literal", "body")
 PROJECT_EVERY = 1000  # steps between projections of the attitudes and r_d onto SO(3)
-BLOCK_BYTES = 1 << 20  # bytes of one pair-scan block in `_diameter` and `_derived`
 
 
 @dataclass(frozen=True)
@@ -311,10 +319,12 @@ def _move(p, r, w, s, dt):
     return p + dt * s * r_half[..., :, 0], r_half @ e_half
 
 
-def _diameter(u, block_bytes=BLOCK_BYTES):
-    """max_{i<j} ||u_i - u_j|| over the rows of u (..., N, 3), one value
-    per leading index, in row blocks of block_bytes, so the extra memory
-    is O(N) per leading index rather than O(N^2)."""
+def _scan(u, block_bytes=BLOCK_BYTES):
+    """max_{i<j} ||u_i - u_j|| over all pairs of rows of u (..., N, 3),
+    one value per leading index, in row blocks of block_bytes, so the
+    extra memory is O(N) per leading index rather than O(N^2). The one
+    pair kernel: `_diameter` calls it on the rows that can hold the
+    longest pair."""
     n, lead = u.shape[-2], u.shape[:-2]
     rows = max(1, block_bytes // (24 * n * int(np.prod(lead))))
     worst = np.zeros(lead)
@@ -325,27 +335,60 @@ def _diameter(u, block_bytes=BLOCK_BYTES):
     return np.sqrt(worst)
 
 
-def _step(config, state, k):
+def _diameter(u, block_bytes=BLOCK_BYTES):
+    """max_{i<j} ||u_i - u_j|| over the rows of u (..., N, 3), one value
+    per leading index, bitwise equal to `_scan(u)` but scanning only the
+    rows that can hold the longest pair.
+
+    With c the centroid, r_i = ||u_i - c|| and R = max r, a two-sweep
+    (the row farthest from c, then the row farthest from it) gives a pair
+    of length L. A pair longer than L has L < r_i + r_j <= r_i + R, so
+    both its rows have r >= L - R. Those candidates include the two-sweep
+    pair, so the longest candidate pair is the longest pair. Computed
+    lengths are within a few ulps of exact ones; the slack 1e-12 (L + R)
+    keeps every row of a pair whose computed length can reach the
+    computed maximum. A step whose rows are all equal (R = 0) needs one
+    row; one whose L or R is not finite keeps all N. The K rows of
+    largest r, K the largest candidate count, are scanned as one
+    (..., K, 3) stack. Every pair scanned is a real pair formed as
+    `_scan` forms it, and x - y = -(y - x) exactly, so the result has
+    the bits of the full scan.
+    """
+    n = u.shape[-2]
+    x = u - u.mean(axis=-2, keepdims=True)
+    x *= x
+    r = np.sqrt(x.sum(axis=-1))
+    far = np.take_along_axis(u, r.argmax(axis=-1)[..., None, None], axis=-2)
+    d = u - far
+    d *= d
+    big, reach = np.sqrt(d.sum(axis=-1).max(axis=-1)), r.max(axis=-1)
+    thr = big - reach - 1e-12 * (big + reach)
+    count = (r >= thr[..., None]).sum(axis=-1)
+    count = np.where(reach == 0.0, 1, np.where(np.isfinite(thr), count, n))
+    k = max(int(count.max(initial=0)), min(2, n))
+    top = np.argpartition(r, n - k, axis=-1)[..., n - k :]
+    return _scan(np.take_along_axis(u, top[..., None], axis=-2), block_bytes)
+
+
+def _step(config, state, k, rate_norm):
     """Step k of the closed loop for the whole swarm, control path only.
 
-    state is (p (N, 3), r (N, 3, 3), r_d, target). Returns (record, next
-    state, ok): the stored values (t, p, r, r_d, mu, unknown_rate, hold)
-    at t_k, the state at t_{k+1} (None after the last step or when an
-    agent hit the log singularity) and the per-agent ok mask of the error
-    log.
+    state is (p (N, 3), r (N, 3, 3), r_d, target); rate_norm is
+    ||omega_unknown||, the recorded unknown rate outside source-seeking,
+    which `run` takes once. Returns (record, next state, ok): the stored
+    values (t, p, r, r_d, mu, unknown_rate, hold) at t_k, the state at
+    t_{k+1} (None after the last step or when an agent hit the log
+    singularity) and the per-agent ok mask of the error log.
     """
     p, r, r_d, target = state
     trj, dt = config.trajectory, config.dt
-    held, wu_norm = False, 0.0
+    held, wu_norm = False, rate_norm
     if trj.mode == "source-seeking":
         _, x, radius = _barycentric(p)
         r_d, target, held, tau_c = _retarget(
             r_d, target, config.field.values(p), x, float(radius)
         )
-        if k > 0:
-            wu_norm = np.linalg.norm(tau_c) / dt
-    else:
-        wu_norm = np.linalg.norm(trj.omega_unknown)
+        wu_norm = np.linalg.norm(tau_c) / dt if k > 0 else 0.0
     r_e, tau_e, mu, ok = _error(r_d, r)
     record = (k * dt, p, r, r_d, mu, wu_norm, held)
     if k == config.n_steps or not ok.all():
@@ -455,7 +498,8 @@ def _derived(config, p, r, r_d, unknown_rate):
 
     Works in blocks of steps whose pair scan fits BLOCK_BYTES, so the
     extra memory is O(N) beyond the log. Raises ValueError for a
-    non-finite position log, as `deployment_stats` does for one snapshot.
+    non-finite position log or covariance, as `deployment_stats` does for
+    one snapshot.
     """
     if not np.isfinite(p).all():
         raise ValueError("positions must be finite")
@@ -463,11 +507,11 @@ def _derived(config, p, r, r_d, unknown_rate):
     fld = config.field
     delta, lam, pair = np.empty((m, n)), np.empty(m), np.empty(m)
     sigma_c, dist = np.full(m, np.nan), np.full(m, np.nan)
-    steps = max(1, BLOCK_BYTES // (24 * n * n))
+    steps = _block_steps(n)
     for a in range(0, m, steps):
         blk = slice(a, a + steps)
         pc, x, _ = _barycentric(p[blk])
-        lam[blk] = np.linalg.eigvalsh(_covariance(x))[:, 0]
+        lam[blk] = _lambda_min(_covariance(x))
         delta[blk] = _alignment(r[blk, :, :, 0], r_d[blk, None, :, 0])
         pair[blk] = _diameter(p[blk] - p[0])
         if fld is not None:
@@ -510,8 +554,9 @@ def run(config: SimConfig) -> SimLog:
     )
     r_d = config.trajectory.r_d
     state = (p, r, r_d, r_d[:, 0].copy())
+    rate_norm = np.linalg.norm(config.trajectory.omega_unknown)
     for k in range(m):
-        record, state, ok = _step(config, state, k)
+        record, state, ok = _step(config, state, k, rate_norm)
         for column, value in zip(stored, record):
             column[k] = value
         if not ok.all():

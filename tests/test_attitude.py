@@ -20,7 +20,6 @@ from swarmso3 import (
     hat,
     heading_alignment_delta,
     log_so3,
-    lyapunov_value,
     run,
     vee,
 )
@@ -123,16 +122,6 @@ def test_gain_for_bounded_rate_values():
     assert gain_for_bounded_rate(np.pi / 4, 0.4) == pytest.approx(2.777, abs=5e-4)
     with pytest.raises(ValueError):
         gain_for_bounded_rate(1.0, 0.0)
-
-
-def test_lyapunov_values():
-    err = attitude_error(np.eye(3), exp_so3([0, 0, 0.4]))
-    zero = attitude_error(np.eye(3), np.eye(3))
-    assert lyapunov_value(zero) == 0.0
-    assert lyapunov_value(err, "tracking") == pytest.approx(0.16, abs=1e-12)
-    assert lyapunov_value(err, "robust") == pytest.approx(0.04, abs=1e-12)
-    with pytest.raises(ValueError):
-        lyapunov_value(err, "bogus")
 
 
 def test_heading_alignment_delta_values():

@@ -362,3 +362,26 @@ def test_required_keys(edit, match):
     edit(data)
     with pytest.raises(ScenarioError, match=match):
         scenario._checked(data)
+
+
+def test_cli_simulate_overflowing_covariance_exits_2(tmp_path, capsys):
+    # validate's closed-loop run at speed 1e200: the positions stay finite
+    # but their covariance overflows, and the error says so
+    data = {
+        "name": "validate-closed-loop", "agents": 5, "speed": 1e200, "dt": 0.01,
+        "t_end": 3.0, "seed": 11, "rate_frame": "literal",
+        "controller": {"k_w": 1.2, "delta_star": 0.4},
+        "trajectory": {
+            "mode": "prescribed", "r_d0": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0],
+            "omega_known": [0.8, 0.0, 0.0], "omega_unknown": [0.0, 0.0, -0.15],
+            "omega_max": 0.15,
+        },
+        "placement": {"kind": "ball", "radius": 2.0},
+        "attitudes": {"kind": "ball", "radius": 2.2},
+    }
+    scenario_file = tmp_path / "overflow.scenario"
+    scenario_file.write_text(yaml.safe_dump(data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "covariance is not finite" in capsys.readouterr().err

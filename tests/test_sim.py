@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmso3 import (
     AntipodalHeading,
@@ -31,7 +34,7 @@ from swarmso3 import validate
 from swarmso3.deployment import deployment_stats, weyl_floor_violation
 from swarmso3.reporting import step_table_text, summarize
 from swarmso3.scenario import parse_scenario, scenario_to_config
-from swarmso3.sim import _diameter
+from swarmso3.sim import _diameter, _scan
 
 RNG = np.random.default_rng(55)
 
@@ -418,6 +421,26 @@ def test_weyl_floor_violation_matches_per_step_bound():
     assert abs(weyl_floor_violation(log.p, log.lambda_min) - worst) < 1e-12
 
 
+def test_weyl_floor_violation_walks_the_log_in_blocks():
+    # fig3 at N=200 for 201 records: the blocked walk needs less extra
+    # memory than the 0.96 MB position log itself, and gives the bits of
+    # the formula over the whole log at once
+    log = run(_fig3(n_agents=200, t_end=200 * 0.005))
+    x = log.p - log.p.mean(axis=1, keepdims=True)
+    eps = np.sqrt(np.max(np.sum((x - x[0]) ** 2, axis=2), axis=1))
+    stats0 = deployment_stats(log.p[0])
+    whole = float(np.max(stats0.lambda_min - (2.0 * stats0.radius * eps + eps * eps)
+                         - log.lambda_min))
+    tracemalloc.start()
+    try:
+        got = weyl_floor_violation(log.p, log.lambda_min)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == whole
+    assert log.p.nbytes > 0.9e6 and peak < log.p.nbytes
+
+
 @pytest.mark.parametrize("block_bytes", [1 << 20, 24 * 7])
 def test_pair_displacement_is_diameter_of_offsets(block_bytes):
     # max_ij ||(p_i - p_j) - (p_i0 - p_j0)|| by brute force over pairs,
@@ -436,6 +459,63 @@ def test_pair_displacement_is_diameter_of_offsets(block_bytes):
             ]
             assert got[idx] == pytest.approx(max(pairs), rel=1e-14)
         assert np.array_equal(_diameter(p[..., :1, :] - p0[:1], block_bytes), np.zeros(lead))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    shape=st.sampled_from(["normal", "sphere", "duplicates", "collinear", "anisotropic"]),
+    exponent=st.integers(-100, 100),
+    flat=st.booleans(),
+    block_bytes=st.sampled_from([1 << 20, 24 * 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_diameter_is_bitwise_the_full_scan(
+    n, lead, shape, exponent, flat, block_bytes, seed
+):
+    # on a sphere every row is a candidate; duplicated and collinear rows
+    # tie; `flat` makes the first step (or the only one) all one row, a
+    # zero-spread step stacked with the others
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(*lead, n, 3))
+    if shape == "sphere":
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    elif shape == "duplicates":
+        u = u[..., rng.integers(0, max(1, n // 3), size=n), :]
+    elif shape == "collinear":
+        u = rng.normal(size=(*lead, n, 1)) * rng.normal(size=3) + rng.normal(size=3)
+    elif shape == "anisotropic":
+        u *= [1e3, 1.0, 1e-3]
+    u *= 10.0**exponent
+    first = (0,) * len(lead)
+    if flat:
+        u[first] = u[first][0]
+    got = _diameter(u, block_bytes)
+    assert np.array_equal(got, _scan(u, block_bytes))
+    if flat:
+        assert got[first] == 0.0
+
+
+def test_pruned_diameter_keeps_every_row_when_the_bounds_overflow():
+    # coordinates near 1e154 overflow r and L, and a nan makes them nan;
+    # such a step scans all rows
+    rng = np.random.default_rng(8)
+    u = rng.normal(size=(3, 40, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale in (1e154, 1e200, 1e308):
+            assert np.array_equal(_diameter(u * scale), _scan(u * scale), equal_nan=True)
+        u[1, 7, 2] = np.nan
+        assert np.array_equal(_diameter(u), _scan(u), equal_nan=True)
+
+
+def test_max_pair_disp_at_n3000_is_the_full_scan():
+    # fig3's swarm at N=3 000 for 4 steps, the swarm-scale workload's
+    # dynamics: every logged value equals the unpruned kernel on that
+    # step's offsets
+    log = run(_fig3(n_agents=3000, t_end=4 * 0.005))
+    assert np.array_equal(log.max_pair_disp, _scan(log.p - log.p[0]))
+    assert log.max_pair_disp[-1] > 0.0
 
 
 def _fig3(**changes):
@@ -504,3 +584,14 @@ def test_blown_up_state_is_a_value_error(make_config, blow_up):
     # so only the check on the stored position log sees it.
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
         run(blow_up(make_config()))
+
+
+def test_overflowing_covariance_is_named():
+    # speed 1e200 keeps the positions finite but overflows their
+    # covariance; eigvalsh would fail with "Eigenvalues did not converge"
+    cfg = dataclasses.replace(validate._closed_loop_log(0.25).config, speed=1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="covariance is not finite"):
+            run(cfg)
+        with pytest.raises(ValueError, match="covariance is not finite"):
+            deployment_stats(RNG.normal(size=(5, 3)) * 1e160)

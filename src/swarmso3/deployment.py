@@ -12,6 +12,7 @@ import numpy as np
 from .errors import DegenerateDeployment, DegenerateDirection
 
 BLOCK_BYTES = 1 << 20  # bytes of one pair-scan block in the passes over a whole log
+WEYL_TOL = 1e-9  # a `weyl_floor_violation` up to this is roundoff, not a breach
 
 
 def _block_steps(n):

@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .deployment import (
+    WEYL_TOL,
     deployment_stats,
     pairwise_displacement_bound,
     plan_gains,
@@ -66,11 +67,6 @@ def _rows(log):
         )
         values = [t, *agents.ravel().tolist(), *tail[k]]
         yield f"{','.join(map(repr, values))},{hold},{violation}\n"
-
-
-def step_table_text(log) -> str:
-    """Render a SimLog to CSV text (byte-deterministic)."""
-    return "".join(_rows(log))
 
 
 def write_step_table(log, path):
@@ -196,7 +192,7 @@ def summarize(log) -> dict:
         "band_ok": bool(stay_ok.all()),
         "displacement_ok": (not log.aborted) and max_disp <= displacement_budget,
         "lambda_min_positive": float(log.lambda_min.min()) > 0.0,
-        "weyl_ok": weyl_worst <= 1e-9,
+        "weyl_ok": weyl_worst <= WEYL_TOL,
         "completed": not log.aborted,
     }
     return summary

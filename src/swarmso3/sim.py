@@ -54,7 +54,7 @@ from .deployment import (
 )
 from .errors import AntipodalHeading, DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
-from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _polar, _vee, is_rotation
+from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _vee, is_rotation, project_to_so3
 
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
 RATE_FRAMES = ("literal", "body")
@@ -167,9 +167,9 @@ class AttitudeInitSpec:
             mats = np.ascontiguousarray(self.matrices, dtype=np.float64)
             if mats.ndim != 3 or mats.shape[1:] != (3, 3):
                 raise ValueError("explicit attitudes need an (N, 3, 3) array")
-            for i, m in enumerate(mats):
-                if not is_rotation(m, tol=1e-6):
-                    raise ValueError(f"explicit attitude {i} is not a rotation")
+            bad = ~is_rotation(mats, tol=1e-6)
+            if bad.any():
+                raise ValueError(f"explicit attitude {int(bad.argmax())} is not a rotation")
             object.__setattr__(self, "matrices", mats)
 
 
@@ -481,12 +481,13 @@ def _initial_conditions(config: SimConfig):
     elif config.attitudes.kind == "explicit":
         r = config.attitudes.matrices.copy()
     else:
-        r = np.empty((n, 3, 3))
+        # per-agent draws keep the RNG sequence; for the norm see `_derived`
+        axes, angles = np.empty((n, 3)), np.empty((n, 1))
         for i in range(n):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            angle = rng.uniform(0.0, config.attitudes.radius)
-            r[i] = r0 @ _exp(axis * angle)
+            axes[i] = rng.normal(size=3)
+            angles[i] = rng.uniform(0.0, config.attitudes.radius)
+        axes /= np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
+        r = r0 @ _exp(axes * angles)
     return np.ascontiguousarray(p), np.ascontiguousarray(r)
 
 
@@ -539,19 +540,13 @@ def run(config: SimConfig) -> SimLog:
 
     Raises NearPiSingularity (with .partial_log holding the records up to
     the offending step) if any agent's error hits the log singularity,
-    and ValueError if the state stops being finite.
+    and ValueError if the state stops being finite or drifts from SO(3)
+    by 1e-3 or more at a projection (every PROJECT_EVERY steps).
     """
     p, r = _initial_conditions(config)
     n, m = config.n_agents, config.n_steps + 1
-    stored = (
-        np.zeros(m),
-        np.zeros((m, n, 3)),
-        np.zeros((m, n, 3, 3)),
-        np.zeros((m, 3, 3)),
-        np.zeros((m, n)),
-        np.zeros(m),
-        np.zeros(m, dtype=np.int8),
-    )
+    shapes = ((), (n, 3), (n, 3, 3), (3, 3), (n,), ())
+    stored = tuple(np.zeros((m,) + s) for s in shapes) + (np.zeros(m, dtype=np.int8),)
     r_d = config.trajectory.r_d
     state = (p, r, r_d, r_d[:, 0].copy())
     rate_norm = np.linalg.norm(config.trajectory.omega_unknown)
@@ -574,5 +569,8 @@ def run(config: SimConfig) -> SimLog:
             raise NearPiSingularity(reason, partial_log=partial)
         if state is not None and (k + 1) % PROJECT_EVERY == 0:
             p, r, r_d, target = state
-            state = (p, _polar(r), _polar(r_d), target)
+            try:
+                state = (p, project_to_so3(r), project_to_so3(r_d), target)
+            except ValueError as err:
+                raise ValueError(f"the attitudes at step {k + 1} are not rotations: {err}") from None
     return _finish(config, stored, m)

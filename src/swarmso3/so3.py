@@ -5,13 +5,14 @@ vectors and angular velocities are shape (3,) arrays. Skew matrices are
 the hat form of angular velocity vectors. All functions are pure.
 
 Batch axis: the private array functions (`_hat`, `_vee`, `_exp`, `_log`,
-`_angle`, `_adjoint`, `_polar`) take any leading batch shape, vectors as
+`_angle`, `_adjoint`, `_drift`) take any leading batch shape, vectors as
 (..., 3) and matrices as (..., 3, 3); the simulator calls them on (N, 3)
 and (N, 3, 3) stacks, one row per agent. Each public function is the
 single-rotation case (empty batch shape) of one of them, with shape
-checks and typed errors added. The closed forms and their small-angle
-series follow Sola et al., "A micro Lie theory for state estimation in
-robotics", arXiv:1812.01537.
+checks and typed errors added; `is_rotation` and `project_to_so3` take
+stacks too, and share the one drift measure ||R^T R - I||_F, `_drift`.
+The closed forms and their small-angle series follow Sola et al., "A
+micro Lie theory for state estimation in robotics", arXiv:1812.01537.
 """
 
 import numpy as np
@@ -112,12 +113,10 @@ def _adjoint(r, s):
     return r @ s @ np.swapaxes(r, -1, -2)
 
 
-def _polar(m):
-    """Nearest rotations via the orthogonal polar factor."""
-    u, _, vt = np.linalg.svd(m)
-    # flip the weakest singular direction where U V^T is a reflection
-    u[..., :, 2] *= np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)[..., None]
-    return u @ vt
+def _drift(m):
+    """||m^T m - I||_F for each matrix of m (..., 3, 3)."""
+    d = np.swapaxes(m, -1, -2) @ m - _I3
+    return np.sqrt((d * d).sum(axis=(-2, -1)))
 
 
 def hat(v) -> np.ndarray:
@@ -217,22 +216,27 @@ def exp_coord_derivative(tau, omega) -> np.ndarray:
 
 
 def project_to_so3(m, tol: float = 1e-3) -> np.ndarray:
-    """Nearest rotation (orthogonal polar factor), for drift repair.
+    """Nearest rotations to m (..., 3, 3) in the Frobenius norm, the
+    orthogonal polar factors (Higham 1986), for drift repair. Raises
+    ValueError unless every drift ||m^T m - I||_F is below tol (nan is
+    not): more drift means an integrator bug, not roundoff."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected shape (..., 3, 3), got {m.shape}")
+    drift = _drift(m)
+    if not (drift < tol).all():
+        raise ValueError(f"drift ||M^T M - I||_F up to {np.max(drift):.3g} is not below {tol:g}")
+    u, _, vt = np.linalg.svd(m)
+    # flip the weakest singular direction where U V^T is a reflection
+    u[..., :, 2] *= np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)[..., None]
+    return u @ vt
 
-    Inputs farther than tol from orthonormality are rejected: that level
-    of drift indicates an integrator bug rather than roundoff.
-    """
-    m = _mat3(m)
-    if np.linalg.norm(m.T @ m - np.eye(3)) >= tol:
-        raise ValueError("input too far from orthonormal to be drift repair")
-    return _polar(m)
 
-
-def is_rotation(r, tol: float = 1e-9) -> bool:
-    """Check R^T R = I entrywise and det(R) = 1, both within tol."""
+def is_rotation(r, tol: float = 1e-9):
+    """Whether ||R^T R - I||_F <= tol and |det R - 1| <= tol: a bool for one
+    matrix, a bool array for a stack (..., 3, 3), False for other shapes."""
     r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3, 3):
+    if r.shape[-2:] != (3, 3):
         return False
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
-        return False
-    return bool(abs(np.linalg.det(r) - 1.0) <= tol)
+    ok = (_drift(r) <= tol) & (np.abs(np.linalg.det(r) - 1.0) <= tol)
+    return ok if ok.ndim else bool(ok)

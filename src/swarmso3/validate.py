@@ -18,7 +18,7 @@ import numpy as np
 
 from . import so3
 from .attitude import ControllerConfig
-from .deployment import pairwise_displacement_bound, weyl_floor_violation
+from .deployment import WEYL_TOL, pairwise_displacement_bound, weyl_floor_violation
 from .fields import FieldSpec
 from .sim import (
     AttitudeInitSpec,
@@ -179,7 +179,7 @@ def _closed_loop_log(n_steps_scale=1.0):
 def check_weyl_chain(log):
     """lambda_min(P(t)) >= lambda_min(P(0)) - (2 D0 e + e^2) every step."""
     worst = weyl_floor_violation(log.p, log.lambda_min)
-    return ("covariance eigenvalue floor", len(log), worst, 1e-9, worst <= 1e-9)
+    return ("covariance eigenvalue floor", len(log), worst, WEYL_TOL, worst <= WEYL_TOL)
 
 
 def check_displacement_budget(log):

@@ -32,9 +32,10 @@ from swarmso3 import (
 )
 from swarmso3 import validate
 from swarmso3.deployment import deployment_stats, weyl_floor_violation
-from swarmso3.reporting import step_table_text, summarize
+from swarmso3.reporting import summarize, write_step_table
 from swarmso3.scenario import parse_scenario, scenario_to_config
-from swarmso3.sim import _diameter, _scan
+from swarmso3 import sim
+from swarmso3.sim import _diameter, _initial_conditions, _scan
 
 RNG = np.random.default_rng(55)
 
@@ -193,11 +194,11 @@ def test_source_seek_hold_policy_on_degenerate_estimate():
     assert np.allclose(log.r_d[0], np.eye(3))
 
 
-def test_run_determinism_bytes():
+def test_run_determinism_bytes(tmp_path):
     cfg = _seek_config(t_end=1.0)
-    a = step_table_text(run(cfg))
-    b = step_table_text(run(cfg))
-    assert a == b
+    write_step_table(run(cfg), tmp_path / "a.csv")
+    write_step_table(run(cfg), tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_run_aborts_on_initial_antipode():
@@ -595,3 +596,54 @@ def test_overflowing_covariance_is_named():
             run(cfg)
         with pytest.raises(ValueError, match="covariance is not finite"):
             deployment_stats(RNG.normal(size=(5, 3)) * 1e160)
+
+
+def test_explicit_attitudes_name_the_first_bad_index():
+    mats = np.array([exp_so3(RNG.normal(size=3)) for _ in range(5)])
+    mats[2] *= 1.0 + 1e-5
+    mats[4] *= 1.0 + 1e-5
+    with pytest.raises(ValueError, match="explicit attitude 2 is not a rotation"):
+        AttitudeInitSpec(kind="explicit", matrices=mats)
+    mats[[2, 4]] /= 1.0 + 1e-5
+    assert AttitudeInitSpec(kind="explicit", matrices=mats).matrices.shape == (5, 3, 3)
+
+
+def test_run_rejects_attitude_drift_at_a_projection(monkeypatch):
+    # an integrator that scales every attitude by 1.01 per step drifts by
+    # sqrt(3) (1.01^2 - 1) = 0.035 >= 1e-3; the projection after step 0
+    # must name it rather than quietly map it back onto SO(3)
+    move = sim._move
+
+    def scaling_move(p, r, w, s, dt):
+        p, r = move(p, r, w, s, dt)
+        return p, r * 1.01
+
+    monkeypatch.setattr(sim, "PROJECT_EVERY", 1)
+    monkeypatch.setattr(sim, "_move", scaling_move)
+    with pytest.raises(ValueError, match="attitudes at step 1 are not rotations.*0.0348"):
+        run(_seek_config(t_end=0.05))
+
+
+def _ball_attitudes_per_agent(config):
+    # the per-agent loop that drew ball attitudes before they were batched
+    rng = np.random.default_rng(config.seed)
+    n = config.n_agents
+    rng.normal(size=(n, 3)), rng.uniform(size=(n, 1))  # the ball placement
+    r = np.empty((n, 3, 3))
+    for i in range(n):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        angle = rng.uniform(0.0, config.attitudes.radius)
+        r[i] = config.trajectory.r_d @ exp_so3(axis * angle)
+    return r
+
+
+@pytest.mark.parametrize("n", [1, 7, 400])
+def test_ball_attitudes_are_bitwise_a_per_agent_loop(n):
+    trajectory = DesiredAttitudeTrajectory(
+        mode="source-seeking", r_d=exp_so3([0.3, -1.1, 0.7]), omega_max_declared=0.5
+    )
+    for seed in range(5):
+        cfg = _seek_config(n_agents=n, seed=seed, trajectory=trajectory)
+        _, r = _initial_conditions(cfg)
+        assert np.array_equal(r, _ball_attitudes_per_agent(cfg))

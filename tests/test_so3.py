@@ -280,3 +280,59 @@ def test_project_to_so3_repairs_drift():
 def test_project_to_so3_rejects_garbage():
     with pytest.raises(ValueError):
         project_to_so3(np.eye(3) * 2.0)
+
+
+def _polar_reference(m):
+    # the orthogonal polar factor of one matrix, as the simulator's
+    # periodic projection computed it before it was checked
+    u, _, vt = np.linalg.svd(m)
+    u[:, 2] *= -1.0 if np.linalg.det(u @ vt) < 0.0 else 1.0
+    return u @ vt
+
+
+def test_project_to_so3_stack_is_bitwise_a_per_matrix_loop():
+    stack = np.array([exp_so3(random_rotvec(RNG)) for _ in range(40)])
+    stack += RNG.normal(size=stack.shape) * 1e-6
+    stack[3] = np.diag([1.0, 1.0, -1.0])  # a reflection: U V^T gets flipped
+    out = project_to_so3(stack)
+    assert np.array_equal(out, np.array([_polar_reference(m) for m in stack]))
+    assert np.array_equal(project_to_so3(stack[5]), out[5])
+    assert is_rotation(out, tol=1e-12).all()
+
+
+@pytest.mark.parametrize("bad", [1.01, np.nan])
+def test_project_to_so3_rejects_a_stack_with_one_bad_matrix(bad):
+    stack = np.array([exp_so3(random_rotvec(RNG)) for _ in range(6)])
+    stack[4] *= bad
+    worst = "0.0348" if bad == 1.01 else "nan"  # sqrt(3) (1.01^2 - 1)
+    with pytest.raises(ValueError, match=f"up to {worst} is not below 0.001"):
+        project_to_so3(stack)
+
+
+def test_is_rotation_on_a_stack_equals_single_calls():
+    stack = np.array([exp_so3(random_rotvec(RNG)) for _ in range(8)])
+    stack[1] *= 1.0 + 1e-7
+    stack[5] = np.diag([1.0, 1.0, -1.0])
+    stack[6, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        for tol in (1e-9, 1e-6):
+            got = is_rotation(stack, tol=tol)
+            assert got.dtype == bool and got.shape == (8,)
+            assert got.tolist() == [is_rotation(m, tol=tol) for m in stack]
+        assert is_rotation(stack.reshape(2, 4, 3, 3), tol=1e-6).tolist() == [
+            [True, True, True, True], [True, False, False, True]
+        ]
+    assert is_rotation(np.eye(4)) is False
+    assert is_rotation(np.ones(3)) is False
+
+
+def test_is_rotation_measures_drift_in_the_frobenius_norm():
+    # R^T R - I = diag(a, -a, 0): every entry is below tol, its Frobenius
+    # norm sqrt(2) a is not, and det R = sqrt(1 - a^2) is within tol of 1
+    a, tol = 0.8e-6, 1e-6
+    r = np.diag([np.sqrt(1.0 + a), np.sqrt(1.0 - a), 1.0])
+    d = r.T @ r - np.eye(3)
+    assert np.max(np.abs(d)) < tol <= np.linalg.norm(d)
+    assert abs(np.linalg.det(r) - 1.0) <= tol
+    assert is_rotation(r, tol=tol) is False
+    assert is_rotation(r, tol=2 * tol) is True

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDeployment, DegenerateDirection
+from .so3 import _arr3
 
 BLOCK_BYTES = 1 << 20  # bytes of one pair-scan block in the passes over a whole log
 WEYL_TOL = 1e-9  # a `weyl_floor_violation` up to this is roundoff, not a breach
@@ -53,7 +54,7 @@ def _barycentric(p):
     barycentric coordinates x_i = p_i - centroid and max_i ||x_i||, one
     per leading index. Unchecked; the simulator's loop and post-pass call
     it on (N, 3) snapshots and (steps, N, 3) blocks of the log."""
-    pc = p.mean(axis=-2)
+    pc = p.sum(axis=-2) / p.shape[-2]  # numpy's own definition of mean
     x = p - pc[..., None, :]
     return pc, x, np.sqrt((x * x).sum(axis=-1).max(axis=-1))
 
@@ -118,8 +119,13 @@ def heading_field(ell, eps_norm: float = 1e-9) -> np.ndarray:
     source). The simulator passes eps_norm = 1e-9 * (1 + max |sigma|) and
     applies a hold-previous policy on the error.
     """
-    ell = np.asarray(ell, dtype=np.float64)
-    n = float(np.linalg.norm(ell))
+    return _heading(_arr3(ell), eps_norm)
+
+
+def _heading(ell, eps_norm):
+    """`heading_field` of a float (3,) array, unchecked; sqrt(ell @ ell)
+    is how np.linalg.norm forms the norm of one vector."""
+    n = np.sqrt(ell @ ell)
     if n <= eps_norm:
         raise DegenerateDirection("ascending-direction estimate vanishes")
     return ell / n

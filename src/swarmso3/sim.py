@@ -19,13 +19,18 @@ rule is written once.
 `_step` computes only what the control law reads back: in
 source-seeking the barycentric coordinates and radius of the snapshot
 and the field at the agents, then the error, the rates and the new
-poses. It records t, p, r, r_d, mu, unknown_rate and hold. The
-log-only columns (delta, lambda_min, sigma_centroid, dist_to_source,
-max_pair_disp, rate_violation) feed nothing back, so `_derived`
-computes them once after the loop from the stored p, r, r_d and
-unknown_rate, in blocks of steps whose pair scan fits BLOCK_BYTES. Each
-value has the same bits as the per-step public functions give
-(`deployment_stats`, `heading_alignment_delta`, `FieldSpec.values`).
+poses. It records p, r, r_d, mu, hold and the reference before the
+heading turn. The log-only columns (t, delta, lambda_min,
+sigma_centroid, dist_to_source, max_pair_disp, unknown_rate,
+rate_violation) feed nothing back, so `_derived` computes them once
+after the loop from the stored columns, in blocks of steps whose pair
+scan fits BLOCK_BYTES. Each value has the same bits as the per-step
+public functions give (`deployment_stats`, `heading_alignment_delta`,
+`FieldSpec.values`); the turn rate is ||log(pre^T r_d)|| / dt of each
+step's turn, by `_turn_vectors`, which `advance_desired` also uses. In the
+body frame the reference's known rate and designed spin `_spin` are run
+constants, computed once per run; the literal frame's body rates turn
+with r_d, so its steps form them.
 
 Reference-rate conventions (`rate_frame`):
   "literal": the total reference rate R_d^T w_known + w_unknown is an
@@ -48,9 +53,9 @@ from .deployment import (
     _barycentric,
     _block_steps,
     _covariance,
+    _heading,
     _lambda_min,
     deployment_stats,
-    heading_field,
 )
 from .errors import AntipodalHeading, DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
@@ -59,6 +64,7 @@ from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _vee, is_rotation, project
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
 RATE_FRAMES = ("literal", "body")
 PROJECT_EVERY = 1000  # steps between projections of the attitudes and r_d onto SO(3)
+_NO_TURN = np.zeros((3, 3))  # the pre-turn reference recorded for a step without a turn
 
 
 @dataclass(frozen=True)
@@ -270,12 +276,13 @@ def _body_rates(rate_frame, r_d, w_known, w_unknown):
     return w_known.copy(), w_unknown.copy()
 
 
-def _spin(mode, r_d, wk, wu, dt):
-    """The reference after its designed rates over dt. Source-seeking
+def _spin(mode, wk, wu, dt):
+    """The reference's designed spin over dt, the exponential of its body
+    rates: r_d @ _spin(...) is the reference after dt. Source-seeking
     spins by the known rate only; its heading turn is `_retarget`."""
     if mode == "source-seeking":
-        return r_d @ _exp(dt * wk)
-    return r_d @ _exp(dt * (wk + wu))
+        return _exp(dt * wk)
+    return _exp(dt * (wk + wu))
 
 
 def _turn(heading, target):
@@ -293,23 +300,31 @@ def _retarget(r_d, target, sigma, x, radius):
     built from the field samples sigma at the agents, their barycentric
     coordinates x and radius max ||x_i||.
 
-    Returns (r_d, target, held, tau_c): the turned reference, the heading
-    it now targets, the hold flag and the rotation vector of the applied
-    turn. A vanishing estimate holds the last target; an antipodal target
-    leaves r_d and the target as they were (tau_c = 0).
+    Returns (r_d, target, held, pre): the turned reference, the heading
+    it now targets, the hold flag and the reference before the turn. A
+    vanishing estimate holds the last target; an antipodal target leaves
+    r_d and the target as they were, and pre is then the zero matrix,
+    which marks a step without a turn for `_turn_vectors`.
     """
     held = False
     try:
         ell = _ascending(sigma, x, radius)
-        md = heading_field(ell, eps_norm=1e-9 * (1.0 + float(np.abs(sigma).max())))
+        md = _heading(ell, 1e-9 * (1.0 + float(np.abs(sigma).max())))
     except DegenerateDirection:
         held, md = True, target
     q = _turn(r_d[:, 0], md)
     if q is None:
-        return r_d, target, True, np.zeros(3)
-    r_new = q @ r_d
-    tau_c, _, _ = _log(r_d.T @ r_new)
-    return r_new, md, held, tau_c
+        return r_d, target, True, _NO_TURN
+    return q @ r_d, md, held, r_d
+
+
+def _turn_vectors(pre, r_d):
+    """Rotation vectors log(pre^T r_d) of the heading turns from the
+    pre-turn references pre (..., 3, 3) to the turned references r_d;
+    exactly 0 where pre is the zero matrix (no rotation is one), the
+    mark of a step without a turn."""
+    tau, _, _ = _log(np.swapaxes(pre, -1, -2) @ r_d)
+    return np.where(pre.any(axis=(-2, -1))[..., None], tau, 0.0)
 
 
 def _move(p, r, w, s, dt):
@@ -370,32 +385,37 @@ def _diameter(u, block_bytes=BLOCK_BYTES):
     return _scan(np.take_along_axis(u, top[..., None], axis=-2), block_bytes)
 
 
-def _step(config, state, k, rate_norm):
+def _step(config, state, k, rates):
     """Step k of the closed loop for the whole swarm, control path only.
 
-    state is (p (N, 3), r (N, 3, 3), r_d, target); rate_norm is
-    ||omega_unknown||, the recorded unknown rate outside source-seeking,
-    which `run` takes once. Returns (record, next state, ok): the stored
-    values (t, p, r, r_d, mu, unknown_rate, hold) at t_k, the state at
-    t_{k+1} (None after the last step or when an agent hit the log
-    singularity) and the per-agent ok mask of the error log.
+    state is (p (N, 3), r (N, 3, 3), r_d, target). rates is the run
+    constant (wk, spin) of the body frame: the body-frame known rate and
+    the designed spin `_spin`; None in the literal frame, whose body rates
+    turn with r_d, so the step forms both. Returns (record, next state,
+    ok): the stored values (p, r, r_d, mu, pre, hold) at t_k, pre being
+    the reference before the heading turn (see `_retarget`), 0.0 outside
+    source-seeking; the state at t_{k+1}, None after the last step or
+    when an agent hit the log singularity; and in that case the per-agent
+    ok mask of the error log, else None.
     """
     p, r, r_d, target = state
     trj, dt = config.trajectory, config.dt
-    held, wu_norm = False, rate_norm
+    held, pre = False, 0.0
     if trj.mode == "source-seeking":
         _, x, radius = _barycentric(p)
-        r_d, target, held, tau_c = _retarget(
-            r_d, target, config.field.values(p), x, float(radius)
-        )
-        wu_norm = np.linalg.norm(tau_c) / dt if k > 0 else 0.0
+        r_d, target, held, pre = _retarget(r_d, target, config.field.values(p), x, float(radius))
     r_e, tau_e, mu, ok = _error(r_d, r)
-    record = (k * dt, p, r, r_d, mu, wu_norm, held)
-    if k == config.n_steps or not ok.all():
+    record = (p, r, r_d, mu, pre, held)
+    if not ok.all():
         return record, None, ok
-    wk, wu = _body_rates(config.rate_frame, r_d, trj.omega_known, trj.omega_unknown)
+    if k == config.n_steps:
+        return record, None, None
+    if rates is None:
+        wk, wu = _body_rates(config.rate_frame, r_d, trj.omega_known, trj.omega_unknown)
+        rates = wk, _spin(trj.mode, wk, wu, dt)
+    wk, spin = rates
     p, r = _move(p, r, _feedforward(r_e, tau_e, wk, config.controller.k_w), config.speed, dt)
-    return record, (p, r, _spin(trj.mode, r_d, wk, wu, dt), target), ok
+    return record, (p, r, r_d @ spin, target), None
 
 
 def step_agent(state: RobotState, omega, s: float, dt: float) -> RobotState:
@@ -448,7 +468,7 @@ def advance_desired(
     if dt <= 0:
         raise ValueError("dt must be positive")
     wk, wu = reference_body_rates(traj, rate_frame)
-    r_d = _spin(traj.mode, traj.r_d, wk, wu, dt)
+    r_d = traj.r_d @ _spin(traj.mode, wk, wu, dt)
     if traj.mode != "source-seeking":
         return replace(traj, r_d=r_d, held=False)
 
@@ -456,10 +476,10 @@ def advance_desired(
         raise ValueError("source-seeking advance needs positions and a field")
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     stats = deployment_stats(positions)
-    r_d, target, held, tau_c = _retarget(
+    r_d, target, held, pre = _retarget(
         r_d, traj.target, field.values(positions), stats.x, stats.radius
     )
-    out = replace(traj, r_d=r_d, omega_unknown=tau_c / dt, held=held)
+    out = replace(traj, r_d=r_d, omega_unknown=_turn_vectors(pre, r_d) / dt, held=held)
     object.__setattr__(out, "target", target)
     return out
 
@@ -491,11 +511,11 @@ def _initial_conditions(config: SimConfig):
     return np.ascontiguousarray(p), np.ascontiguousarray(r)
 
 
-def _derived(config, p, r, r_d, unknown_rate):
+def _derived(config, p, r, r_d, pre):
     """The log-only columns of a (possibly partial) log: (delta,
     lambda_min, sigma_centroid, dist_to_source, max_pair_disp,
-    rate_violation), from its positions p, attitudes r, references r_d
-    and unknown rates.
+    unknown_rate, rate_violation), from its positions p, attitudes r,
+    references r_d and pre-turn references pre.
 
     Works in blocks of steps whose pair scan fits BLOCK_BYTES, so the
     extra memory is O(N) beyond the log. Raises ValueError for a
@@ -505,9 +525,11 @@ def _derived(config, p, r, r_d, unknown_rate):
     if not np.isfinite(p).all():
         raise ValueError("positions must be finite")
     m, n = p.shape[:2]
-    fld = config.field
+    fld, trj = config.field, config.trajectory
     delta, lam, pair = np.empty((m, n)), np.empty(m), np.empty(m)
     sigma_c, dist = np.full(m, np.nan), np.full(m, np.nan)
+    seeking = trj.mode == "source-seeking"
+    rate = np.empty(m) if seeking else np.full(m, np.linalg.norm(trj.omega_unknown))
     steps = _block_steps(n)
     for a in range(0, m, steps):
         blk = slice(a, a + steps)
@@ -522,16 +544,24 @@ def _derived(config, p, r, r_d, unknown_rate):
             # the bits of the norm of its own centroid offset
             d = pc - fld.source
             dist[blk] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-    violation = unknown_rate > config.trajectory.omega_max_declared + 1e-12
-    return delta, lam, sigma_c, dist, pair, violation.astype(np.int8)
+        if seeking:
+            # the realized turn rate ||tau_c|| / dt, each norm formed as
+            # the distances above are
+            tau = _turn_vectors(pre[blk], r_d[blk])
+            rate[blk] = np.sqrt((tau[:, None, :] @ tau[:, :, None])[:, 0, 0]) / config.dt
+    if seeking:
+        rate[:1] = 0.0  # no turn rate before the first step
+    violation = rate > trj.omega_max_declared + 1e-12
+    return delta, lam, sigma_c, dist, pair, rate, violation.astype(np.int8)
 
 
 def _finish(config, stored, rows, **abort):
-    """SimLog of the first `rows` records of the stored columns (t, p, r,
-    r_d, mu, unknown_rate, hold), with the log-only columns derived."""
-    t, p, r, r_d, mu, wu, hold = (c[:rows] for c in stored)
-    delta, lam, sigma_c, dist, pair, violation = _derived(config, p, r, r_d, wu)
-    arrays = (t, p, r, r_d, mu, delta, lam, sigma_c, dist, pair, wu, hold, violation)
+    """SimLog of the first `rows` records of the stored columns (p, r,
+    r_d, mu, pre, hold), with t and the log-only columns derived."""
+    p, r, r_d, mu, pre, hold = (c[:rows] for c in stored)
+    delta, lam, sigma_c, dist, pair, rate, violation = _derived(config, p, r, r_d, pre)
+    t = np.arange(rows) * config.dt
+    arrays = (t, p, r, r_d, mu, delta, lam, sigma_c, dist, pair, rate, hold, violation)
     return SimLog(config, None, config.controller.k_w, arrays, **abort)
 
 
@@ -545,19 +575,25 @@ def run(config: SimConfig) -> SimLog:
     """
     p, r = _initial_conditions(config)
     n, m = config.n_agents, config.n_steps + 1
-    shapes = ((), (n, 3), (n, 3, 3), (3, 3), (n,), ())
+    trj = config.trajectory
+    # only source-seeking turns its reference, so only it stores the (3, 3)
+    # pre-turn references
+    pre_shape = (3, 3) if trj.mode == "source-seeking" else ()
+    shapes = ((n, 3), (n, 3, 3), (3, 3), (n,), pre_shape)
     stored = tuple(np.zeros((m,) + s) for s in shapes) + (np.zeros(m, dtype=np.int8),)
-    r_d = config.trajectory.r_d
-    state = (p, r, r_d, r_d[:, 0].copy())
-    rate_norm = np.linalg.norm(config.trajectory.omega_unknown)
+    ps, rs, r_ds, mus, pres, holds = stored
+    rates = None
+    if config.rate_frame == "body":
+        wk, wu = _body_rates("body", trj.r_d, trj.omega_known, trj.omega_unknown)
+        rates = wk, _spin(trj.mode, wk, wu, config.dt)
+    state = (p, r, trj.r_d, trj.r_d[:, 0].copy())
     for k in range(m):
-        record, state, ok = _step(config, state, k, rate_norm)
-        for column, value in zip(stored, record):
-            column[k] = value
-        if not ok.all():
+        record, state, ok = _step(config, state, k, rates)
+        ps[k], rs[k], r_ds[k], mus[k], pres[k], holds[k] = record
+        if ok is not None:
             # a blown-up state also fails the log's angle test; it is not
             # a singularity of the control law
-            if not all(np.isfinite(a).all() for a in record[1:4]):
+            if not all(np.isfinite(a).all() for a in record[:3]):
                 raise ValueError(
                     f"positions, attitudes and the reference must be finite; step {k} is not"
                 )

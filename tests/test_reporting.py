@@ -116,6 +116,18 @@ def _exact_slope(t, y):
     return num / sum((a - t_bar) ** 2 for a in t)
 
 
+def test_fig3_decay_fit_fails_for_the_agents_the_readme_names():
+    # agents 1, 2 and 6 start inside mu_star, so they have no approach
+    # segment to fit; agent 3's approach is shallower than -0.9 k_w
+    log = run(_bundled("fig3"))
+    summary = summarize(log)
+    slopes = np.array(summary["decay"]["slope"])
+    assert not summary["flags"]["decay_fit_ok"]
+    assert np.flatnonzero(log.mu[0] <= log.config.controller.mu_star).tolist() == [1, 2, 6]
+    assert np.flatnonzero(np.isnan(slopes)).tolist() == [1, 2, 6]
+    assert np.flatnonzero(slopes > -0.9 * log.k_w).tolist() == [3]
+
+
 def test_decay_slopes_are_nearly_exact_least_squares():
     # against the exact rational slope of the same float samples, the
     # closed form stays within a few ulps on fig3's approach windows

@@ -27,6 +27,7 @@ from swarmso3 import (
     exp_so3,
     hat,
     heading_alignment_delta,
+    project_to_so3,
     run,
     step_agent,
 )
@@ -35,7 +36,8 @@ from swarmso3.deployment import deployment_stats, weyl_floor_violation
 from swarmso3.reporting import summarize, write_step_table
 from swarmso3.scenario import parse_scenario, scenario_to_config
 from swarmso3 import sim
-from swarmso3.sim import _diameter, _initial_conditions, _scan
+from swarmso3.sim import _diameter, _initial_conditions, _scan, reference_body_rates
+from swarmso3.so3 import _log
 
 RNG = np.random.default_rng(55)
 
@@ -532,6 +534,22 @@ def _aborted_fig3():
     return exc_info.value.partial_log
 
 
+def _pre_turn_references(log):
+    """The reference before each step's heading turn, by the public API:
+    the last stored reference after its designed spin, projected onto
+    SO(3) where `run` projects."""
+    cfg = log.config
+    pre = np.empty_like(log.r_d)
+    pre[0] = cfg.trajectory.r_d
+    for k in range(1, len(log)):
+        traj = dataclasses.replace(cfg.trajectory, r_d=log.r_d[k - 1])
+        wk, _ = reference_body_rates(traj, cfg.rate_frame)
+        pre[k] = log.r_d[k - 1] @ exp_so3(cfg.dt * wk)
+        if k % sim.PROJECT_EVERY == 0:
+            pre[k] = project_to_so3(pre[k])
+    return pre
+
+
 @pytest.mark.parametrize(
     "make_log",
     [
@@ -543,10 +561,19 @@ def _aborted_fig3():
 )
 def test_log_only_columns_equal_the_public_functions(make_log):
     # the post-pass fills these columns from stacked calls; each value
-    # must have the bits the per-step public functions give
+    # must have the bits the per-step public functions give, and each
+    # turn rate the bits of the formula the loop used to apply per step
     log = make_log()
     cfg = log.config
     assert len(log) > 100
+    if cfg.trajectory.mode == "source-seeking":
+        assert log.unknown_rate[0] == 0.0
+        pre = _pre_turn_references(log)
+        for k in range(1, len(log)):
+            rate = np.linalg.norm(_log(pre[k].T @ log.r_d[k])[0]) / cfg.dt
+            assert log.unknown_rate[k] == rate, k
+    else:
+        assert (log.unknown_rate == np.linalg.norm(cfg.trajectory.omega_unknown)).all()
     for k in range(len(log)):
         stats = deployment_stats(log.p[k])
         assert log.lambda_min[k] == stats.lambda_min, k
@@ -562,6 +589,33 @@ def test_log_only_columns_equal_the_public_functions(make_log):
             assert log.dist_to_source[k] == dist, k
         violation = log.unknown_rate[k] > cfg.trajectory.omega_max_declared + 1e-12
         assert log.rate_violation[k] == violation, k
+
+
+def test_antipodal_step_records_a_hold_and_no_turn(monkeypatch):
+    # the estimate points against the heading at step 5 only: the loop
+    # applies no turn there, so the step is held and its turn rate is
+    # exactly 0, not the log of a rotation that happens to round to I.
+    # With no known rate the spin is exactly I, so step 5's pre-turn
+    # heading is the first column of the unpatched run's r_d at step 4.
+    cfg = _seek_config(t_end=0.1)
+    free = run(cfg)
+    step, calls = 5, []
+    heading = sim._heading
+
+    def against_the_heading(ell, eps_norm):
+        calls.append(None)
+        if len(calls) == step + 1:
+            return -free.r_d[step - 1, :, 0]
+        return heading(ell, eps_norm)
+
+    monkeypatch.setattr(sim, "_heading", against_the_heading)
+    log = run(cfg)
+    assert len(calls) == len(log)
+    assert log.hold_flag[step] == 1 and log.hold_flag.sum() == 1
+    assert log.unknown_rate[step] == 0.0 and log.rate_violation[step] == 0
+    assert np.array_equal(log.r_d[step], free.r_d[step - 1])
+    assert np.array_equal(log.r_d[:step], free.r_d[:step])
+    assert (log.unknown_rate[step + 1 :] > 0.0).all()
 
 
 def _huge_gain(cfg):

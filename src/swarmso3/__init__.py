@@ -24,7 +24,6 @@ from .deployment import (
     plan_gains,
 )
 from .errors import (
-    AntipodalHeading,
     DegenerateDeployment,
     DegenerateDirection,
     NearPiSingularity,
@@ -40,7 +39,6 @@ from .sim import (
     SimConfig,
     SimLog,
     advance_desired,
-    complete_frame,
     run,
     step_agent,
 )

@@ -52,8 +52,9 @@ class GainPlan:
 def _barycentric(p):
     """(centroid, x, radius) of positions (..., N, 3): the centroids, the
     barycentric coordinates x_i = p_i - centroid and max_i ||x_i||, one
-    per leading index. Unchecked; the simulator's loop and post-pass call
-    it on (N, 3) snapshots and (steps, N, 3) blocks of the log."""
+    per leading index. Unchecked; the simulator's loop and post-pass and
+    `weyl_floor_violation` call it on (N, 3) snapshots and (steps, N, 3)
+    blocks of the log."""
     pc = p.sum(axis=-2) / p.shape[-2]  # numpy's own definition of mean
     x = p - pc[..., None, :]
     return pc, x, np.sqrt((x * x).sum(axis=-1).max(axis=-1))
@@ -75,13 +76,20 @@ def _lambda_min(cov):
     return np.linalg.eigvalsh(cov)[..., 0]
 
 
-def deployment_stats(positions) -> DeploymentStats:
+def _positions(positions):
+    """positions as a float (N, 3) array; ValueError unless N >= 1 and
+    every coordinate is finite. The check of `deployment_stats` and
+    `sim.advance_desired`."""
     p = np.ascontiguousarray(positions, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
         raise ValueError("positions must be a non-empty (N, 3) array")
     if not np.all(np.isfinite(p)):
         raise ValueError("positions must be finite")
-    pc, x, radius = _barycentric(p)
+    return p
+
+
+def deployment_stats(positions) -> DeploymentStats:
+    pc, x, radius = _barycentric(_positions(positions))
     cov = _covariance(x)
     return DeploymentStats(
         centroid=pc,
@@ -205,12 +213,11 @@ def weyl_floor_violation(positions, lambda_min) -> float:
     """
     stats0 = deployment_stats(positions[0])
     m, n = positions.shape[:2]
-    x0 = positions[:1] - positions[:1].mean(axis=1, keepdims=True)
+    x0 = _barycentric(positions[:1])[1]
     eps = np.empty(m)
     steps = _block_steps(n)
     for a in range(0, m, steps):
-        p = positions[a : a + steps]
-        x = p - p.mean(axis=1, keepdims=True)
+        x = _barycentric(positions[a : a + steps])[1]
         x -= x0
         x *= x
         eps[a : a + steps] = np.sqrt(x.sum(axis=2).max(axis=1))

@@ -27,9 +27,5 @@ class DegenerateDeployment(SwarmSO3Error):
     non-degeneracy displacement budget rounds to 0."""
 
 
-class AntipodalHeading(SwarmSO3Error):
-    """Requested heading is opposite the current one; minimal rotation undefined."""
-
-
 class ScenarioError(SwarmSO3Error):
     """Scenario file failed schema validation."""

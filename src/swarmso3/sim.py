@@ -12,22 +12,23 @@ Batch axis: the swarm is an (N, 3) position array and an (N, 3, 3)
 attitude array, one row per agent, and `run` is a loop over the private
 `_step`, which advances all N agents at once. `_step` is assembled from
 `_body_rates`, `_retarget`, `_turn`, `_spin` and `_move`, and the public
-per-step API (`reference_body_rates`, `advance_desired`,
-`complete_frame`, `step_agent`) calls those same functions, so the step
-rule is written once.
+per-step API (`reference_body_rates`, `advance_desired`, `step_agent`)
+calls those same functions, so the step rule is written once.
 
 `_step` computes only what the control law reads back: in
 source-seeking the barycentric coordinates and radius of the snapshot
 and the field at the agents, then the error, the rates and the new
-poses. It records p, r, r_d, mu, hold and the reference before the
-heading turn. The log-only columns (t, delta, lambda_min,
+poses. It records p, r, r_d, mu, hold and the heading before the
+step's turn. The log-only columns (t, delta, lambda_min,
 sigma_centroid, dist_to_source, max_pair_disp, unknown_rate,
 rate_violation) feed nothing back, so `_derived` computes them once
 after the loop from the stored columns, in blocks of steps whose pair
 scan fits BLOCK_BYTES. Each value has the same bits as the per-step
 public functions give (`deployment_stats`, `heading_alignment_delta`,
-`FieldSpec.values`); the turn rate is ||log(pre^T r_d)|| / dt of each
-step's turn, by `_turn_vectors`, which `advance_desired` also uses. In the
+`FieldSpec.values`). The turn is the minimal rotation about the mutual
+normal, so its angle is the great-circle angle between the headings
+before and after it: the turn rate is that angle over dt, by the same
+`_alignment` as delta, and exactly 0 at a step without a turn. In the
 body frame the reference's known rate and designed spin `_spin` are run
 constants, computed once per run; the literal frame's body rates turn
 with r_d, so its steps form them.
@@ -55,16 +56,15 @@ from .deployment import (
     _covariance,
     _heading,
     _lambda_min,
-    deployment_stats,
+    _positions,
 )
-from .errors import AntipodalHeading, DegenerateDirection, NearPiSingularity
+from .errors import DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
 from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _vee, is_rotation, project_to_so3
 
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
 RATE_FRAMES = ("literal", "body")
 PROJECT_EVERY = 1000  # steps between projections of the attitudes and r_d onto SO(3)
-_NO_TURN = np.zeros((3, 3))  # the pre-turn reference recorded for a step without a turn
 
 
 @dataclass(frozen=True)
@@ -300,11 +300,10 @@ def _retarget(r_d, target, sigma, x, radius):
     built from the field samples sigma at the agents, their barycentric
     coordinates x and radius max ||x_i||.
 
-    Returns (r_d, target, held, pre): the turned reference, the heading
-    it now targets, the hold flag and the reference before the turn. A
-    vanishing estimate holds the last target; an antipodal target leaves
-    r_d and the target as they were, and pre is then the zero matrix,
-    which marks a step without a turn for `_turn_vectors`.
+    Returns (r_d, target, held): the turned reference, the heading it now
+    targets and the hold flag. A vanishing estimate holds the last
+    target; an antipodal target applies no turn and returns the r_d
+    passed in, the same array, with the target as it was.
     """
     held = False
     try:
@@ -314,17 +313,8 @@ def _retarget(r_d, target, sigma, x, radius):
         held, md = True, target
     q = _turn(r_d[:, 0], md)
     if q is None:
-        return r_d, target, True, _NO_TURN
-    return q @ r_d, md, held, r_d
-
-
-def _turn_vectors(pre, r_d):
-    """Rotation vectors log(pre^T r_d) of the heading turns from the
-    pre-turn references pre (..., 3, 3) to the turned references r_d;
-    exactly 0 where pre is the zero matrix (no rotation is one), the
-    mark of a step without a turn."""
-    tau, _, _ = _log(np.swapaxes(pre, -1, -2) @ r_d)
-    return np.where(pre.any(axis=(-2, -1))[..., None], tau, 0.0)
+        return r_d, target, True
+    return q @ r_d, md, held
 
 
 def _move(p, r, w, s, dt):
@@ -393,17 +383,17 @@ def _step(config, state, k, rates):
     the designed spin `_spin`; None in the literal frame, whose body rates
     turn with r_d, so the step forms both. Returns (record, next state,
     ok): the stored values (p, r, r_d, mu, pre, hold) at t_k, pre being
-    the reference before the heading turn (see `_retarget`), 0.0 outside
-    source-seeking; the state at t_{k+1}, None after the last step or
+    r_d's heading before the step's turn (in every mode, so the column
+    has one shape); the state at t_{k+1}, None after the last step or
     when an agent hit the log singularity; and in that case the per-agent
     ok mask of the error log, else None.
     """
     p, r, r_d, target = state
     trj, dt = config.trajectory, config.dt
-    held, pre = False, 0.0
+    pre, held = r_d[:, 0], False
     if trj.mode == "source-seeking":
         _, x, radius = _barycentric(p)
-        r_d, target, held, pre = _retarget(r_d, target, config.field.values(p), x, float(radius))
+        r_d, target, held = _retarget(r_d, target, config.field.values(p), x, float(radius))
     r_e, tau_e, mu, ok = _error(r_d, r)
     record = (p, r, r_d, mu, pre, held)
     if not ok.all():
@@ -426,23 +416,6 @@ def step_agent(state: RobotState, omega, s: float, dt: float) -> RobotState:
     return RobotState(p=p, r=r)
 
 
-def complete_frame(x_d, prev) -> np.ndarray:
-    """Rotation with first column x_d, continuous with `prev`.
-
-    Applies the minimal rotation (about the mutual normal) taking prev's
-    first column onto x_d; raises AntipodalHeading when they are opposite
-    and the minimal rotation is undefined.
-    """
-    x_d = _arr3(x_d)
-    if abs(np.linalg.norm(x_d) - 1.0) > 1e-6:
-        raise ValueError("x_d must be a unit vector")
-    prev = _mat3(prev)
-    q = _turn(prev[:, 0], x_d)
-    if q is None:
-        raise AntipodalHeading()
-    return q @ prev
-
-
 def reference_body_rates(traj: DesiredAttitudeTrajectory, rate_frame: str):
     """Body-frame (known, unknown) rate vectors under the chosen convention."""
     return _body_rates(rate_frame, traj.r_d, traj.omega_known, traj.omega_unknown)
@@ -461,25 +434,26 @@ def advance_desired(
     exponential of the total rate over dt.
     source-seeking: apply the designed known spin, then the minimal
     rotation placing the first column on the fresh target heading computed
-    from `positions` and `field`; the realized correction rate is reported
-    in omega_unknown. A vanishing estimate holds the last target heading
-    and sets `held`, as does an antipodal target, which applies no turn.
+    from `positions` and `field`. omega_unknown reports the turn's
+    rotation vector log(pre^T r_d) over dt, pre being the spun reference;
+    its norm is the logged unknown_rate. A vanishing estimate holds the
+    last target heading and sets `held`, as does an antipodal target,
+    which applies no turn and reports the zero vector.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     wk, wu = reference_body_rates(traj, rate_frame)
-    r_d = traj.r_d @ _spin(traj.mode, wk, wu, dt)
+    pre = traj.r_d @ _spin(traj.mode, wk, wu, dt)
     if traj.mode != "source-seeking":
-        return replace(traj, r_d=r_d, held=False)
+        return replace(traj, r_d=pre, held=False)
 
     if positions is None or field is None:
         raise ValueError("source-seeking advance needs positions and a field")
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
-    stats = deployment_stats(positions)
-    r_d, target, held, pre = _retarget(
-        r_d, traj.target, field.values(positions), stats.x, stats.radius
-    )
-    out = replace(traj, r_d=r_d, omega_unknown=_turn_vectors(pre, r_d) / dt, held=held)
+    positions = _positions(positions)
+    _, x, radius = _barycentric(positions)
+    r_d, target, held = _retarget(pre, traj.target, field.values(positions), x, float(radius))
+    tau = np.zeros(3) if r_d is pre else _log(pre.T @ r_d)[0]
+    out = replace(traj, r_d=r_d, omega_unknown=tau / dt, held=held)
     object.__setattr__(out, "target", target)
     return out
 
@@ -515,7 +489,12 @@ def _derived(config, p, r, r_d, pre):
     """The log-only columns of a (possibly partial) log: (delta,
     lambda_min, sigma_centroid, dist_to_source, max_pair_disp,
     unknown_rate, rate_violation), from its positions p, attitudes r,
-    references r_d and pre-turn references pre.
+    references r_d and headings pre before each step's turn.
+
+    In source-seeking, unknown_rate is the angle of each step's heading
+    turn over dt: the great-circle angle from pre to r_d's heading, by the
+    `_alignment` that gives delta. A step without a turn stored one
+    heading twice, so its elementwise cross and its rate are exactly 0.
 
     Works in blocks of steps whose pair scan fits BLOCK_BYTES, so the
     extra memory is O(N) beyond the log. Raises ValueError for a
@@ -528,8 +507,11 @@ def _derived(config, p, r, r_d, pre):
     fld, trj = config.field, config.trajectory
     delta, lam, pair = np.empty((m, n)), np.empty(m), np.empty(m)
     sigma_c, dist = np.full(m, np.nan), np.full(m, np.nan)
-    seeking = trj.mode == "source-seeking"
-    rate = np.empty(m) if seeking else np.full(m, np.linalg.norm(trj.omega_unknown))
+    if trj.mode == "source-seeking":
+        rate = _alignment(pre, r_d[:, :, 0]) / config.dt
+        rate[:1] = 0.0  # no turn rate before the first step
+    else:
+        rate = np.full(m, np.linalg.norm(trj.omega_unknown))
     steps = _block_steps(n)
     for a in range(0, m, steps):
         blk = slice(a, a + steps)
@@ -544,13 +526,6 @@ def _derived(config, p, r, r_d, pre):
             # the bits of the norm of its own centroid offset
             d = pc - fld.source
             dist[blk] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-        if seeking:
-            # the realized turn rate ||tau_c|| / dt, each norm formed as
-            # the distances above are
-            tau = _turn_vectors(pre[blk], r_d[blk])
-            rate[blk] = np.sqrt((tau[:, None, :] @ tau[:, :, None])[:, 0, 0]) / config.dt
-    if seeking:
-        rate[:1] = 0.0  # no turn rate before the first step
     violation = rate > trj.omega_max_declared + 1e-12
     return delta, lam, sigma_c, dist, pair, rate, violation.astype(np.int8)
 
@@ -576,10 +551,7 @@ def run(config: SimConfig) -> SimLog:
     p, r = _initial_conditions(config)
     n, m = config.n_agents, config.n_steps + 1
     trj = config.trajectory
-    # only source-seeking turns its reference, so only it stores the (3, 3)
-    # pre-turn references
-    pre_shape = (3, 3) if trj.mode == "source-seeking" else ()
-    shapes = ((n, 3), (n, 3, 3), (3, 3), (n,), pre_shape)
+    shapes = ((n, 3), (n, 3, 3), (3, 3), (n,), (3,))
     stored = tuple(np.zeros((m,) + s) for s in shapes) + (np.zeros(m, dtype=np.int8),)
     ps, rs, r_ds, mus, pres, holds = stored
     rates = None

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmso3 import (
-    AntipodalHeading,
     AttitudeInitSpec,
     ControllerConfig,
     DesiredAttitudeRate,
@@ -22,7 +21,6 @@ from swarmso3 import (
     SimConfig,
     advance_desired,
     attitude_error,
-    complete_frame,
     control_known_ff,
     exp_so3,
     hat,
@@ -37,7 +35,6 @@ from swarmso3.reporting import summarize, write_step_table
 from swarmso3.scenario import parse_scenario, scenario_to_config
 from swarmso3 import sim
 from swarmso3.sim import _diameter, _initial_conditions, _scan, reference_body_rates
-from swarmso3.so3 import _log
 
 RNG = np.random.default_rng(55)
 
@@ -95,22 +92,32 @@ def test_long_run_orthonormality():
     assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-9
 
 
-def test_complete_frame_fixed_point():
-    prev = exp_so3(RNG.normal(size=3))
-    out = complete_frame(prev[:, 0], prev)
-    assert np.allclose(out, prev, atol=1e-12)
+_E1 = np.array([1.0, 0.0, 0.0])
+_EXACT = np.array([0.5, 0.5, np.sqrt(0.5)])  # unit, with exact pairwise products
 
 
-def test_complete_frame_quarter_turn():
-    out = complete_frame([0.0, 1.0, 0.0], np.eye(3))
-    assert np.allclose(out[:, 0], [0, 1, 0], atol=1e-15)
-    # minimal rotation: angle equals the angle between the headings
-    assert attitude_error(np.eye(3), out).mu == pytest.approx(np.pi / 2, abs=1e-12)
-
-
-def test_complete_frame_antipodal_raises():
-    with pytest.raises(AntipodalHeading):
-        complete_frame([-1.0, 0.0, 0.0], np.eye(3))
+@pytest.mark.parametrize(
+    "heading, target, expected, atol",
+    [
+        (_EXACT, _EXACT, np.eye(3), 0.0),
+        (_E1, np.array([0.0, 1.0, 0.0]), exp_so3([0.0, 0.0, np.pi / 2]), 1e-15),
+        (_E1, -_E1, None, None),
+    ],
+    ids=["fixed-point", "quarter-turn", "antipodal"],
+)
+def test_turn_is_the_minimal_rotation(heading, target, expected, atol):
+    # the heading turn of source-seeking: I when the heading is already on
+    # target, the rotation about the mutual normal by the angle between
+    # them, and none for an antipodal target
+    q = sim._turn(heading, target)
+    if expected is None:
+        assert q is None
+        return
+    assert np.allclose(q, expected, rtol=0.0, atol=atol)
+    assert np.allclose(q @ heading, target, rtol=0.0, atol=atol)
+    assert attitude_error(np.eye(3), q).mu == pytest.approx(
+        heading_alignment_delta(heading, target), abs=1e-12
+    )
 
 
 def test_advance_desired_zero_rates():
@@ -412,6 +419,20 @@ def test_advance_desired_holds_last_target_after_antipodal_step():
     assert np.allclose(out.r_d[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
 
 
+def test_advance_desired_rejects_bad_positions():
+    # the same checks, with the same messages, as deployment_stats
+    traj = DesiredAttitudeTrajectory(mode="source-seeking")
+    field = FieldSpec(kind="quadratic", source=[5.0, 0.0, 0.0], amplitude=1000.0,
+                      curvature=[1.0, 1.0, 1.0], domain_radius=10.0)
+    bad = _octahedron([0.0, 0.0, 0.0])
+    bad[2, 1] = np.inf
+    with pytest.raises(ValueError, match="positions must be finite"):
+        advance_desired(traj, 0.1, "body", bad, field)
+    for shape in ((6, 2), (3,), (0, 3)):
+        with pytest.raises(ValueError, match=r"non-empty \(N, 3\) array"):
+            advance_desired(traj, 0.1, "body", np.zeros(shape), field)
+
+
 def test_weyl_floor_violation_matches_per_step_bound():
     log = run(_seek_config(t_end=0.5))
     stats0 = deployment_stats(log.p[0])
@@ -561,8 +582,8 @@ def _pre_turn_references(log):
 )
 def test_log_only_columns_equal_the_public_functions(make_log):
     # the post-pass fills these columns from stacked calls; each value
-    # must have the bits the per-step public functions give, and each
-    # turn rate the bits of the formula the loop used to apply per step
+    # must have the bits the per-step public functions give, each turn
+    # rate those of the heading angle across the step's turn
     log = make_log()
     cfg = log.config
     assert len(log) > 100
@@ -570,8 +591,20 @@ def test_log_only_columns_equal_the_public_functions(make_log):
         assert log.unknown_rate[0] == 0.0
         pre = _pre_turn_references(log)
         for k in range(1, len(log)):
-            rate = np.linalg.norm(_log(pre[k].T @ log.r_d[k])[0]) / cfg.dt
+            rate = heading_alignment_delta(pre[k][:, 0], log.r_d[k][:, 0]) / cfg.dt
             assert log.unknown_rate[k] == rate, k
+            if k % sim.PROJECT_EVERY == 0:
+                continue  # advance_desired does not project
+            # the public step reports the turn's rotation vector: its norm
+            # is the logged rate, and its exponential turns pre onto r_d
+            traj = advance_desired(
+                dataclasses.replace(cfg.trajectory, r_d=log.r_d[k - 1]), cfg.dt,
+                cfg.rate_frame, positions=log.p[k], field=cfg.field,
+            )
+            turn = np.linalg.norm(traj.omega_unknown) * cfg.dt
+            assert abs(turn - log.unknown_rate[k] * cfg.dt) <= 1e-14, k
+            turned = pre[k] @ exp_so3(cfg.dt * traj.omega_unknown)
+            assert np.allclose(turned, log.r_d[k], rtol=0.0, atol=1e-13), k
     else:
         assert (log.unknown_rate == np.linalg.norm(cfg.trajectory.omega_unknown)).all()
     for k in range(len(log)):

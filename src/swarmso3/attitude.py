@@ -47,18 +47,21 @@ class DesiredAttitudeRate:
 class ControllerConfig:
     """Proportional gain and the error/alignment bands it is tuned for.
 
-    mu_star defaults to delta_star when omitted (mu_star <= delta_star
-    guarantees the heading band). k_w is required; `deployment.plan_gains`
-    computes one from the gain rules.
+    At least one band is required, and each defaults to the other
+    (mu_star <= delta_star guarantees the heading band). k_w is required;
+    `deployment.plan_gains` computes one from the gain rules.
     """
 
     k_w: float = field(default=None)  # type: ignore[assignment]
-    delta_star: float = np.pi
+    delta_star: float = field(default=None)  # type: ignore[assignment]
     mu_star: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        object.__setattr__(self, "delta_star", float(self.delta_star))
+        if self.delta_star is None and self.mu_star is None:
+            raise ValueError("need mu_star and/or delta_star")
+        delta_star = self.mu_star if self.delta_star is None else self.delta_star
         mu_star = self.delta_star if self.mu_star is None else self.mu_star
+        object.__setattr__(self, "delta_star", float(delta_star))
         object.__setattr__(self, "mu_star", float(mu_star))
         if self.k_w is None or not 0 < self.k_w < np.inf:
             raise ValueError("k_w must be given, positive and finite")

@@ -161,12 +161,7 @@ def scenario_to_config(data: dict) -> SimConfig:
     ValueError for a value they reject."""
     cfg = _given(data, agents="n_agents")
     cfg.pop("description", None)
-    ctl = _given(cfg["controller"])
-    if "delta_star" not in ctl:  # scenario files default delta_star to mu_star
-        if "mu_star" not in ctl:
-            raise ValueError("controller: need mu_star and/or delta_star")
-        ctl["delta_star"] = ctl["mu_star"]
-    cfg["controller"] = ControllerConfig(**ctl)
+    cfg["controller"] = ControllerConfig(**_given(cfg["controller"]))
     trj = _given(cfg["trajectory"], r_d0="r_d", omega_max="omega_max_declared")
     if "r_d" in trj:
         trj["r_d"] = _rotations(trj["r_d"])

@@ -1,37 +1,35 @@
 """Deterministic fixed-step closed-loop simulator.
 
 N constant-speed unicycle agents track one shared reference attitude.
-Per step: (1) snapshot the swarm, (2) refresh the reference
-(source-seeking recomputes the target heading from the snapshot),
-(3) record, (4) evaluate every control from the snapshot, (5) apply all
-agent steps and the reference's designed spin. The attitude update is
-the exact exponential of the commanded rate; position uses the body
-x-axis at the half step, so each agent moves exactly speed*dt per step.
+Per step: (1) store the reference's heading before the turn, (2) turn
+the reference (source-seeking recomputes the target heading from the
+swarm), (3) take the attitude error and record, (4) abort on the log
+singularity, (5) move every agent and spin the reference. The attitude
+update is the exact exponential of the commanded rate; position uses
+the body x-axis at the half step, so each agent moves exactly speed*dt
+per step.
 
 Batch axis: the swarm is an (N, 3) position array and an (N, 3, 3)
-attitude array, one row per agent, and `run` is a loop over the private
-`_step`, which advances all N agents at once. `_step` is assembled from
-`_body_rates`, `_retarget`, `_turn`, `_spin` and `_move`, and the public
-per-step API (`reference_body_rates`, `advance_desired`, `step_agent`)
-calls those same functions, so the step rule is written once.
+attitude array, one row per agent, and each pass of `run`'s loop
+advances all N agents at once. Each piece of the step is one function,
+which the public per-step API (`reference_body_rates`, `advance_desired`,
+`step_agent`) calls too: `_retarget` (the turn), `_rates` (the known
+body rate and designed spin; once per run in the body frame, at each
+step in the literal frame, whose rates turn with r_d), `_error`,
+`_feedforward` and `_move`.
 
-`_step` computes only what the control law reads back: in
-source-seeking the barycentric coordinates and radius of the snapshot
-and the field at the agents, then the error, the rates and the new
-poses. It records p, r, r_d, mu, hold and the heading before the
-step's turn. The log-only columns (t, delta, lambda_min,
-sigma_centroid, dist_to_source, max_pair_disp, unknown_rate,
-rate_violation) feed nothing back, so `_derived` computes them once
-after the loop from the stored columns, in blocks of steps whose pair
-scan fits BLOCK_BYTES. Each value has the same bits as the per-step
-public functions give (`deployment_stats`, `heading_alignment_delta`,
-`FieldSpec.values`). The turn is the minimal rotation about the mutual
-normal, so its angle is the great-circle angle between the headings
-before and after it: the turn rate is that angle over dt, by the same
-`_alignment` as delta, and exactly 0 at a step without a turn. In the
-body frame the reference's known rate and designed spin `_spin` are run
-constants, computed once per run; the literal frame's body rates turn
-with r_d, so its steps form them.
+The loop computes only what the control law reads back, and records p,
+r, r_d, mu, hold and the heading before the step's turn. The log-only
+columns (t, delta, lambda_min, sigma_centroid, dist_to_source,
+max_pair_disp, unknown_rate, rate_violation) feed nothing back, so
+`_derived` computes them once after the loop from the stored columns,
+in blocks of steps whose pair scan fits BLOCK_BYTES. Each value has the
+same bits as the per-step public functions give (`deployment_stats`,
+`heading_alignment_delta`, `FieldSpec.values`). The turn is the minimal
+rotation about the mutual normal, so its angle is the great-circle angle
+between the headings before and after it: the turn rate is that angle
+over dt, by the same `_alignment` as delta, and exactly 0 at a step
+without a turn.
 
 Reference-rate conventions (`rate_frame`):
   "literal": the total reference rate R_d^T w_known + w_unknown is an
@@ -218,8 +216,13 @@ class SimConfig:
             raise ValueError("speed must be positive")
         if self.rate_frame not in RATE_FRAMES:
             raise ValueError(f"unknown rate frame {self.rate_frame!r}")
-        if self.trajectory.mode == "source-seeking" and self.field is None:
-            raise ValueError("source-seeking mode requires a field")
+        if self.trajectory.mode == "source-seeking":
+            if self.field is None:
+                raise ValueError("source-seeking mode requires a field")
+            if self.trajectory.omega_unknown.any():  # its unknown rate is the turn
+                raise ValueError("source-seeking mode requires zero omega_unknown")
+            if self.n_agents < 2:  # one agent's ascending estimate always vanishes
+                raise ValueError("source-seeking mode needs at least two agents")
         if (
             self.placement.kind == "explicit"
             and self.placement.positions.shape[0] != self.n_agents
@@ -276,13 +279,15 @@ def _body_rates(rate_frame, r_d, w_known, w_unknown):
     return w_known.copy(), w_unknown.copy()
 
 
-def _spin(mode, wk, wu, dt):
-    """The reference's designed spin over dt, the exponential of its body
-    rates: r_d @ _spin(...) is the reference after dt. Source-seeking
-    spins by the known rate only; its heading turn is `_retarget`."""
-    if mode == "source-seeking":
-        return _exp(dt * wk)
-    return _exp(dt * (wk + wu))
+def _rates(trj, rate_frame, r_d, dt):
+    """(wk, spin) of the reference r_d of trajectory trj: its body-frame
+    known rate and its designed spin over dt, the exponential of its body
+    rates, so r_d @ spin is the reference after dt. Source-seeking spins
+    by the known rate only; its heading turn is `_retarget`."""
+    wk, wu = _body_rates(rate_frame, r_d, trj.omega_known, trj.omega_unknown)
+    if trj.mode == "source-seeking":
+        return wk, _exp(dt * wk)
+    return wk, _exp(dt * (wk + wu))
 
 
 def _turn(heading, target):
@@ -295,19 +300,21 @@ def _turn(heading, target):
     return vh + (1.0 / (1.0 + c)) * (vh @ vh) + _I3
 
 
-def _retarget(r_d, target, sigma, x, radius):
-    """Turn r_d so its first column follows the swarm's ascending estimate,
-    built from the field samples sigma at the agents, their barycentric
-    coordinates x and radius max ||x_i||.
+def _retarget(r_d, target, p, field):
+    """Turn r_d so its first column follows the ascending estimate of the
+    swarm at positions p (N, 3), built from the field's samples at the
+    agents and their barycentric coordinates.
 
     Returns (r_d, target, held): the turned reference, the heading it now
     targets and the hold flag. A vanishing estimate holds the last
     target; an antipodal target applies no turn and returns the r_d
     passed in, the same array, with the target as it was.
     """
+    sigma = field.values(p)
+    _, x, radius = _barycentric(p)
     held = False
     try:
-        ell = _ascending(sigma, x, radius)
+        ell = _ascending(sigma, x, float(radius))
         md = _heading(ell, 1e-9 * (1.0 + float(np.abs(sigma).max())))
     except DegenerateDirection:
         held, md = True, target
@@ -375,39 +382,6 @@ def _diameter(u, block_bytes=BLOCK_BYTES):
     return _scan(np.take_along_axis(u, top[..., None], axis=-2), block_bytes)
 
 
-def _step(config, state, k, rates):
-    """Step k of the closed loop for the whole swarm, control path only.
-
-    state is (p (N, 3), r (N, 3, 3), r_d, target). rates is the run
-    constant (wk, spin) of the body frame: the body-frame known rate and
-    the designed spin `_spin`; None in the literal frame, whose body rates
-    turn with r_d, so the step forms both. Returns (record, next state,
-    ok): the stored values (p, r, r_d, mu, pre, hold) at t_k, pre being
-    r_d's heading before the step's turn (in every mode, so the column
-    has one shape); the state at t_{k+1}, None after the last step or
-    when an agent hit the log singularity; and in that case the per-agent
-    ok mask of the error log, else None.
-    """
-    p, r, r_d, target = state
-    trj, dt = config.trajectory, config.dt
-    pre, held = r_d[:, 0], False
-    if trj.mode == "source-seeking":
-        _, x, radius = _barycentric(p)
-        r_d, target, held = _retarget(r_d, target, config.field.values(p), x, float(radius))
-    r_e, tau_e, mu, ok = _error(r_d, r)
-    record = (p, r, r_d, mu, pre, held)
-    if not ok.all():
-        return record, None, ok
-    if k == config.n_steps:
-        return record, None, None
-    if rates is None:
-        wk, wu = _body_rates(config.rate_frame, r_d, trj.omega_known, trj.omega_unknown)
-        rates = wk, _spin(trj.mode, wk, wu, dt)
-    wk, spin = rates
-    p, r = _move(p, r, _feedforward(r_e, tau_e, wk, config.controller.k_w), config.speed, dt)
-    return record, (p, r, r_d @ spin, target), None
-
-
 def step_agent(state: RobotState, omega, s: float, dt: float) -> RobotState:
     """Advance one agent by dt under skew rate omega at forward speed s."""
     if dt <= 0:
@@ -442,16 +416,13 @@ def advance_desired(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    wk, wu = reference_body_rates(traj, rate_frame)
-    pre = traj.r_d @ _spin(traj.mode, wk, wu, dt)
+    pre = traj.r_d @ _rates(traj, rate_frame, traj.r_d, dt)[1]
     if traj.mode != "source-seeking":
         return replace(traj, r_d=pre, held=False)
 
     if positions is None or field is None:
         raise ValueError("source-seeking advance needs positions and a field")
-    positions = _positions(positions)
-    _, x, radius = _barycentric(positions)
-    r_d, target, held = _retarget(pre, traj.target, field.values(positions), x, float(radius))
+    r_d, target, held = _retarget(pre, traj.target, _positions(positions), field)
     tau = np.zeros(3) if r_d is pre else _log(pre.T @ r_d)[0]
     out = replace(traj, r_d=r_d, omega_unknown=tau / dt, held=held)
     object.__setattr__(out, "target", target)
@@ -550,22 +521,24 @@ def run(config: SimConfig) -> SimLog:
     """
     p, r = _initial_conditions(config)
     n, m = config.n_agents, config.n_steps + 1
-    trj = config.trajectory
+    trj, dt = config.trajectory, config.dt
+    seeking, literal = trj.mode == "source-seeking", config.rate_frame == "literal"
     shapes = ((n, 3), (n, 3, 3), (3, 3), (n,), (3,))
     stored = tuple(np.zeros((m,) + s) for s in shapes) + (np.zeros(m, dtype=np.int8),)
     ps, rs, r_ds, mus, pres, holds = stored
-    rates = None
-    if config.rate_frame == "body":
-        wk, wu = _body_rates("body", trj.r_d, trj.omega_known, trj.omega_unknown)
-        rates = wk, _spin(trj.mode, wk, wu, config.dt)
-    state = (p, r, trj.r_d, trj.r_d[:, 0].copy())
+    r_d, target = trj.r_d, trj.r_d[:, 0].copy()
+    # body-frame rates are run constants; literal ones turn with r_d
+    wk, spin = _rates(trj, config.rate_frame, r_d, dt)
     for k in range(m):
-        record, state, ok = _step(config, state, k, rates)
-        ps[k], rs[k], r_ds[k], mus[k], pres[k], holds[k] = record
-        if ok is not None:
+        pres[k] = r_d[:, 0]
+        if seeking:
+            r_d, target, holds[k] = _retarget(r_d, target, p, config.field)
+        r_e, tau_e, mu, ok = _error(r_d, r)
+        ps[k], rs[k], r_ds[k], mus[k] = p, r, r_d, mu
+        if not ok.all():
             # a blown-up state also fails the log's angle test; it is not
             # a singularity of the control law
-            if not all(np.isfinite(a).all() for a in record[:3]):
+            if not all(np.isfinite(a).all() for a in (p, r, r_d)):
                 raise ValueError(
                     f"positions, attitudes and the reference must be finite; step {k} is not"
                 )
@@ -575,10 +548,15 @@ def run(config: SimConfig) -> SimLog:
             )
             partial = _finish(config, stored, k, aborted=True, abort_reason=reason)
             raise NearPiSingularity(reason, partial_log=partial)
-        if state is not None and (k + 1) % PROJECT_EVERY == 0:
-            p, r, r_d, target = state
+        if k == m - 1:
+            break
+        if literal:
+            wk, spin = _rates(trj, "literal", r_d, dt)
+        p, r = _move(p, r, _feedforward(r_e, tau_e, wk, config.controller.k_w), config.speed, dt)
+        r_d = r_d @ spin
+        if (k + 1) % PROJECT_EVERY == 0:
             try:
-                state = (p, project_to_so3(r), project_to_so3(r_d), target)
+                r, r_d = project_to_so3(r), project_to_so3(r_d)
             except ValueError as err:
                 raise ValueError(f"the attitudes at step {k + 1} are not rotations: {err}") from None
     return _finish(config, stored, m)

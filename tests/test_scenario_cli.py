@@ -296,6 +296,8 @@ def test_scalar_curvature_is_a_multiple_of_identity():
     "block, key, value, match",
     [
         ("trajectory", "omega_unknown", [0.0, 0.0, 0.1], "constant"),
+        ("trajectory", "omega_unknown", [0.0, 0.3, -0.2], "source-seeking mode requires zero"),
+        (None, "agents", 1, "source-seeking mode needs at least two agents"),
         (None, "seed", -1, "seed"),
         ("attitudes", "matrices", [[1.0, 0, 0, 0, 1, 0, 0, 0, 2]], "not a rotation"),
         ("controller", "k_w", None, "k_w"),
@@ -310,13 +312,14 @@ def test_scalar_curvature_is_a_multiple_of_identity():
         ("placement", "positions", [[0.0, float("nan"), 0.0]], "positions must be finite"),
     ],
     ids=[
-        "constant-rates", "seed", "matrices", "k_w", "k_w-inf", "speed-inf", "dt-inf",
-        "t_end-inf", "omega_known-inf", "omega_unknown-nan", "omega_max-inf",
-        "center-inf", "positions-nan",
+        "constant-rates", "seeking-omega_unknown", "seeking-one-agent", "seed", "matrices",
+        "k_w", "k_w-inf", "speed-inf", "dt-inf", "t_end-inf", "omega_known-inf",
+        "omega_unknown-nan", "omega_max-inf", "center-inf", "positions-nan",
     ],
 )
 def test_checks_moved_into_the_config_classes(block, key, value, match):
-    data = _bases()["prop1_smoke"]
+    # the source-seeking rows edit fig3, the others prop1_smoke
+    data = _bases()["fig3" if match.startswith("source-seeking") else "prop1_smoke"]
     if block == "attitudes":
         data["attitudes"] = {"kind": "explicit"}
     (data[block] if block else data)[key] = value

@@ -326,8 +326,18 @@ def _known_body(traj, rate_frame):
     return wk
 
 
-@pytest.mark.parametrize("mode", ["prescribed", "source-seeking"])
-def test_kernel_loop_matches_public_step_api(mode):
+@pytest.mark.parametrize(
+    "mode, frame",
+    [
+        ("prescribed", "literal"),
+        ("source-seeking", "body"),
+        ("prescribed", "body"),
+        ("source-seeking", "literal"),
+    ],
+    # the first two ids predate the frame parameter
+    ids=["prescribed", "source-seeking", "prescribed-body", "source-seeking-literal"],
+)
+def test_kernel_loop_matches_public_step_api(mode, frame):
     if mode == "prescribed":
         cfg = SimConfig(
             n_agents=3, speed=0.8, dt=0.01, t_end=0.5, seed=9,
@@ -339,16 +349,14 @@ def test_kernel_loop_matches_public_step_api(mode):
             ),
             placement=PlacementSpec(kind="ball", radius=1.0),
             attitudes=AttitudeInitSpec(kind="ball", radius=1.5),
-            rate_frame="literal",
+            rate_frame=frame,
         )
-        frame = "literal"
     else:
-        cfg = _seek_config(t_end=0.5, trajectory=DesiredAttitudeTrajectory(
+        cfg = _seek_config(t_end=0.5, rate_frame=frame, trajectory=DesiredAttitudeTrajectory(
             mode="source-seeking", r_d=np.eye(3),
             omega_known=[0.6, 0.0, 0.0], omega_unknown=[0, 0, 0],
             omega_max_declared=0.5,
         ))
-        frame = "body"
     log = run(cfg)
     n_steps = 20
     states, traj = _replay(log, n_steps, frame)
@@ -727,8 +735,9 @@ def _ball_attitudes_per_agent(config):
 
 @pytest.mark.parametrize("n", [1, 7, 400])
 def test_ball_attitudes_are_bitwise_a_per_agent_loop(n):
+    # initial conditions do not depend on the mode; prescribed also admits n = 1
     trajectory = DesiredAttitudeTrajectory(
-        mode="source-seeking", r_d=exp_so3([0.3, -1.1, 0.7]), omega_max_declared=0.5
+        mode="prescribed", r_d=exp_so3([0.3, -1.1, 0.7]), omega_max_declared=0.5
     )
     for seed in range(5):
         cfg = _seek_config(n_agents=n, seed=seed, trajectory=trajectory)

@@ -8,8 +8,8 @@ Subcommands:
                           summary.json into --out
   validate [--quick]      run the built-in property checks
 
-Exit codes: 0 ok, 1 validation failure, 2 config or hypothesis violation,
-3 runtime singularity abort (partial log still written).
+Exit codes: 0 ok, 1 validation failure, 2 config, path or hypothesis
+violation, 3 runtime singularity abort (partial log still written).
 """
 
 import argparse
@@ -46,12 +46,9 @@ def _resolve_scenario(name_or_path: str) -> str:
 
 def _load_config(args):
     data = parse_scenario(_resolve_scenario(args.scenario))
-    if getattr(args, "dt", None) is not None:
-        data["dt"] = float(args.dt)
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = int(args.seed)
-    if getattr(args, "rate_frame", None) is not None:
-        data["rate_frame"] = args.rate_frame
+    for key in ("dt", "seed", "rate_frame"):
+        if getattr(args, key, None) is not None:
+            data[key] = getattr(args, key)
     return scenario_to_config(data)
 
 
@@ -159,7 +156,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SwarmSO3Error, ValueError) as exc:
+    except (SwarmSO3Error, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

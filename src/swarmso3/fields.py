@@ -1,6 +1,7 @@
 """Scalar-field models used as simulation ground truth.
 
-Each field maps R^3 to positive reals with a unique maximum at `source`.
+Each field maps R^3 to the reals with a unique maximum at `source`; the
+quadratic kind is positive only within its checked `domain_radius`.
 The simulator samples values at agent positions; the analytic gradient
 exists for diagnostics and tests only and is never fed to controllers.
 `FieldSpec.values` and `FieldSpec.gradients` evaluate at a (..., 3)
@@ -10,6 +11,8 @@ array of points, e.g. the (N, 3) positions of a whole swarm at once.
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .so3 import _arr3
 
 KINDS = ("gaussian", "quadratic", "sum_of_gaussians")
 
@@ -67,15 +70,7 @@ class FieldSpec:
         if not np.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
 
-        if self.kind == "gaussian":
-            if not self.amplitude > 0:
-                raise ValueError("amplitude must be positive")
-            w = _spd_matrix(self.width if self.width is not None else 1.0, "width", 2)
-            object.__setattr__(self, "width", w)
-            sources = src[None, :].copy()
-            amps = np.array([float(self.amplitude)])
-            mats = np.linalg.inv(w)[None, :, :].copy()
-        elif self.kind == "quadratic":
+        if self.kind == "quadratic":
             q = _spd_matrix(
                 self.curvature if self.curvature is not None else 1.0, "curvature", 1
             )
@@ -87,14 +82,18 @@ class FieldSpec:
                     "amplitude too small: field not positive on the declared domain"
                 )
             object.__setattr__(self, "curvature", q)
-            sources = src[None, :].copy()
-            amps = np.array([float(self.amplitude)])
-            mats = q[None, :, :].copy()
-        else:  # sum_of_gaussians
-            if not self.components:
+            terms = [(src, float(self.amplitude), q)]
+        else:
+            components = self.components
+            if self.kind == "gaussian":
+                if not self.amplitude > 0:
+                    raise ValueError("amplitude must be positive")
+                width = self.width if self.width is not None else 1.0
+                components = ({"source": src, "amplitude": self.amplitude, "width": width},)
+            elif not components:
                 raise ValueError("sum_of_gaussians needs at least one component")
-            rows, amps_l, mats_l = [], [], []
-            for comp in self.components:
+            terms = []
+            for comp in components:
                 c_src = np.asarray(comp["source"], dtype=np.float64)
                 if c_src.shape != (3,) or not np.all(np.isfinite(c_src)):
                     raise ValueError("component sources must be finite 3-vectors")
@@ -102,14 +101,10 @@ class FieldSpec:
                 if not 0 < c_amp < np.inf:
                     raise ValueError("component amplitudes must be positive and finite")
                 c_w = _spd_matrix(comp.get("width", 1.0), "width", 2)
-                rows.append(c_src)
-                amps_l.append(c_amp)
-                mats_l.append(np.linalg.inv(c_w))
-            sources = np.ascontiguousarray(rows)
-            amps = np.asarray(amps_l)
-            mats = np.ascontiguousarray(mats_l)
-
-        object.__setattr__(self, "_terms", (sources, amps, mats))
+                terms.append((c_src, c_amp, np.linalg.inv(c_w)))
+            if self.kind == "gaussian":  # its one component's normalised width
+                object.__setattr__(self, "width", c_w)
+        object.__setattr__(self, "_terms", tuple(np.ascontiguousarray(t) for t in zip(*terms)))
         if self.kind == "sum_of_gaussians":
             _check_unique_max(self)
 
@@ -175,8 +170,10 @@ def _check_unique_max(spec: FieldSpec):
 
 
 def field_eval(spec: FieldSpec, p) -> float:
-    return float(spec.values(np.ascontiguousarray(p, dtype=np.float64)))
+    """Field value at one point p (3,)."""
+    return float(spec.values(_arr3(p)))
 
 
 def field_gradient(spec: FieldSpec, p) -> np.ndarray:
-    return spec.gradients(np.ascontiguousarray(p, dtype=np.float64))
+    """Analytic field gradient at one point p (3,); shape (3,)."""
+    return spec.gradients(_arr3(p))

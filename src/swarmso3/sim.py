@@ -79,22 +79,19 @@ class RobotState:
             raise ValueError("attitude is not a rotation matrix")
         object.__setattr__(self, "r", r)
 
-    @property
-    def heading(self) -> np.ndarray:
-        return self.r[:, 0].copy()
-
 
 @dataclass(frozen=True)
 class DesiredAttitudeTrajectory:
     """Shared reference attitude plus its rate decomposition.
 
     omega_unknown is hidden from controllers; for source-seeking it holds
-    the realized heading-correction rate of the last advance. `held` marks
-    steps where a vanishing ascending estimate froze the target heading,
-    or where the target was antipodal and no turn was applied. `target`
-    is the heading the last applied turn aimed at (r_d's first column on
-    construction); a vanishing estimate holds it. The constant mode is
-    the prescribed mode with zero rates.
+    the realized heading-correction rate of the last advance. `held` and
+    `target` are outputs of `advance_desired`, not constructor arguments:
+    `held` marks steps where a vanishing ascending estimate froze the
+    target heading, or where the target was antipodal and no turn was
+    applied. `target` is the heading the last applied turn aimed at (r_d's
+    first column on construction); a vanishing estimate holds it. The
+    constant mode is the prescribed mode with zero rates.
     """
 
     mode: str
@@ -102,7 +99,7 @@ class DesiredAttitudeTrajectory:
     omega_known: np.ndarray = (0.0, 0.0, 0.0)  # type: ignore[assignment]
     omega_unknown: np.ndarray = (0.0, 0.0, 0.0)  # type: ignore[assignment]
     omega_max_declared: float = 0.0
-    held: bool = False
+    held: bool = dataclasses.field(default=False, init=False)
     target: np.ndarray = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )  # type: ignore[assignment]
@@ -142,12 +139,7 @@ class PlacementSpec:
         if not np.isfinite(self.center).all():
             raise ValueError("placement center must be finite")
         if self.kind == "explicit":
-            pos = np.ascontiguousarray(self.positions, dtype=np.float64)
-            if pos.ndim != 2 or pos.shape[1] != 3:
-                raise ValueError("explicit placement needs an (N, 3) position list")
-            if not np.isfinite(pos).all():
-                raise ValueError("explicit placement positions must be finite")
-            object.__setattr__(self, "positions", pos)
+            object.__setattr__(self, "positions", _positions(self.positions))
         elif not 0 < self.radius < np.inf:
             raise ValueError("ball placement needs a positive, finite radius")
 
@@ -418,14 +410,15 @@ def advance_desired(
         raise ValueError("dt must be positive")
     pre = traj.r_d @ _rates(traj, rate_frame, traj.r_d, dt)[1]
     if traj.mode != "source-seeking":
-        return replace(traj, r_d=pre, held=False)
+        return replace(traj, r_d=pre)
 
     if positions is None or field is None:
         raise ValueError("source-seeking advance needs positions and a field")
     r_d, target, held = _retarget(pre, traj.target, _positions(positions), field)
     tau = np.zeros(3) if r_d is pre else _log(pre.T @ r_d)[0]
-    out = replace(traj, r_d=r_d, omega_unknown=tau / dt, held=held)
+    out = replace(traj, r_d=r_d, omega_unknown=tau / dt)
     object.__setattr__(out, "target", target)
+    object.__setattr__(out, "held", held)
     return out
 
 

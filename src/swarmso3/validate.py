@@ -6,12 +6,12 @@ quick command-line health check: 10 000 samples for each SO(3) check and
 1 000 for the field gradients (1 000 and 200 with `--quick`), plus the
 two closed-loop checks over every step of a small prescribed-mode run.
 
-The sampled checks draw their samples as stacks, in blocks of at most
-BLOCK rows, and evaluate each block with the batched private functions
-(`so3._exp`, `_log`, `_angle`, `_hat`, `_adjoint`, `FieldSpec.values` and
-`.gradients`). A sample the batched log reports as undefined, or an
-error that comes out nan, counts as an infinite error, so every check
-can fail.
+Each sampled check is one closure that `_worst` calls once per block of
+at most BLOCK samples: it draws the block as stacks from the check's
+generator and returns their errors, by the batched private functions
+(`so3._exp`, `_log`, `_angle`, `_hat`, `_adjoint`, `FieldSpec.values`,
+`.gradients`). A sample the batched log reports as undefined, or an error
+that comes out nan, counts as infinite, so every check can fail.
 """
 
 import numpy as np
@@ -33,15 +33,10 @@ from .sim import (
 BLOCK = 1000
 
 
-def _worst(n, rng, draw, batched):
-    """Largest error over n samples, drawn in blocks of at most BLOCK.
-
-    draw(rng, m) returns a tuple of arrays with m rows and batched(*arrays)
-    their m errors.
-    """
-    worsts = [0.0]
-    for start in range(0, n, BLOCK):
-        worsts.append(np.max(batched(*draw(rng, min(BLOCK, n - start)))))
+def _worst(n, err):
+    """Largest error over n samples; err(m) draws a block of m <= BLOCK
+    samples and returns their m errors."""
+    worsts = [0.0] + [np.max(err(min(BLOCK, n - start))) for start in range(0, n, BLOCK)]
     # np.max, unlike max(), lets a nan error through to fail the check
     worst = float(np.max(worsts))
     return np.inf if np.isnan(worst) else worst
@@ -57,14 +52,12 @@ def _rotvecs(rng, m, max_angle):
 def check_roundtrip(n, rng):
     """vee(log(exp(hat(tau)))) recovers tau for angles below pi."""
 
-    def draw(rng, m):
-        return (_rotvecs(rng, m, np.pi - 0.1),)
-
-    def batched(tau):
+    def err(m):
+        tau = _rotvecs(rng, m, np.pi - 0.1)
         back, _, ok = so3._log(so3._exp(tau))
         return np.where(ok, np.linalg.norm(back - tau, axis=-1), np.inf)
 
-    worst = _worst(n, rng, draw, batched)
+    worst = _worst(n, err)
     return ("exp/log roundtrip", n, worst, 1e-9, worst < 1e-9)
 
 
@@ -77,29 +70,25 @@ def check_metric_ordering(n, rng):
     there is not caught by the equality.
     """
 
-    def draw(rng, m):
+    def err(m):
         r1 = so3._exp(_rotvecs(rng, m, np.pi - 0.05))
-        return r1, r1 @ so3._exp(_rotvecs(rng, m, np.pi - 0.05))
-
-    def batched(r1, r2):
+        r2 = r1 @ so3._exp(_rotvecs(rng, m, np.pi - 0.05))
         rel = np.swapaxes(r1, -1, -2) @ r2
         _, _, dg, ok = so3._angle(rel)
         dl = np.linalg.norm(so3._hat(so3._log(rel)[0]), axis=(-2, -1))
         df = np.linalg.norm(r1 - r2, axis=(-2, -1))
-        err = np.maximum(np.abs(dl - np.sqrt(2.0) * dg), np.maximum(0.0, df - dl))
-        return np.where(ok, err, np.inf)
+        gap = np.maximum(np.abs(dl - np.sqrt(2.0) * dg), np.maximum(0.0, df - dl))
+        return np.where(ok, gap, np.inf)
 
-    worst = _worst(n, rng, draw, batched)
+    worst = _worst(n, err)
     return ("metric ordering", n, worst, 1e-12, worst <= 1e-12)
 
 
 def check_ad_invariance(n, rng):
     """Ad_R(hat v) = hat(R v), and tr(Ad_R(W1)^T Ad_R(W2)) = tr(W1^T W2)."""
 
-    def draw(rng, m):
-        return so3._exp(_rotvecs(rng, m, np.pi - 0.05)), rng.normal(size=(m, 2, 3))
-
-    def batched(r, v):
+    def err(m):
+        r, v = so3._exp(_rotvecs(rng, m, np.pi - 0.05)), rng.normal(size=(m, 2, 3))
         w = so3._hat(v)
         ad = so3._adjoint(r[:, None], w)
         rv = so3._hat((r[:, None] @ v[..., None])[..., 0])
@@ -107,7 +96,7 @@ def check_ad_invariance(n, rng):
         inner = (ad[:, 0] * ad[:, 1] - w[:, 0] * w[:, 1]).sum(axis=(-2, -1))
         return np.maximum(ident, np.abs(inner))
 
-    worst = _worst(n, rng, draw, batched)
+    worst = _worst(n, err)
     return ("Ad-invariance", n, worst, 1e-10, worst <= 1e-10)
 
 
@@ -139,16 +128,14 @@ def check_gradient_fd(n, rng):
     worst = 0.0
     for j, spec in enumerate(specs):
 
-        def draw(rng, m, spec=spec):
-            return (spec.source + rng.uniform(-4.0, 4.0, size=(m, 3)),)
-
-        def batched(p, spec=spec):
+        def err(m, spec=spec):
+            p = spec.source + rng.uniform(-4.0, 4.0, size=(m, 3))
             fd = (spec.values(p[:, None] + steps) - spec.values(p[:, None] - steps)) / (2 * h)
             g = spec.gradients(p)
             return np.linalg.norm(fd - g, axis=-1) / np.maximum(1e-12, np.linalg.norm(g, axis=-1))
 
         m = n // len(specs) + (j < n % len(specs))
-        worst = max(worst, _worst(m, rng, draw, batched))
+        worst = max(worst, _worst(m, err))
     return ("field gradient vs FD", n, worst, 1e-6, worst <= 1e-6)
 
 

@@ -140,3 +140,27 @@ def test_non_finite_field_parameters_rejected(kwargs, match):
     # into a run whose first reference update turns nan
     with pytest.raises(ValueError, match=match):
         FieldSpec(source=[0.0, 0.0, 0.0], **kwargs)
+
+
+def test_gaussian_is_the_one_component_mixture():
+    # both kinds build their terms by the same component loop
+    source, amplitude, width = [1.0, -2.0, 0.5], 3.0, [2.0, 1.5, 3.0]
+    gauss = FieldSpec(kind="gaussian", source=source, amplitude=amplitude, width=width)
+    mix = FieldSpec(
+        kind="sum_of_gaussians",
+        source=source,
+        components=({"source": source, "amplitude": amplitude, "width": width},),
+    )
+    for a, b in zip(gauss._terms, mix._terms):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    points = gauss.source + np.random.default_rng(5).uniform(-4.0, 4.0, size=(4, 5, 3))
+    assert np.array_equal(gauss.values(points), mix.values(points))
+    assert np.array_equal(gauss.gradients(points), mix.gradients(points))
+
+
+@pytest.mark.parametrize("p", [np.zeros((2, 3)), np.zeros(2)], ids=["stack", "short"])
+@pytest.mark.parametrize("fn", [field_eval, field_gradient], ids=["eval", "gradient"])
+def test_single_point_wrappers_take_one_point(fn, p):
+    with pytest.raises(ValueError, match=r"expected shape \(3,\)"):
+        fn(GAUSS, p)

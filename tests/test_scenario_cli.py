@@ -388,3 +388,19 @@ def test_cli_simulate_overflowing_covariance_exits_2(tmp_path, capsys):
         code = main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "covariance is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["simulate", "prop1_smoke", "--out", str(tmp / "file")],
+        lambda tmp: ["gains", str(tmp)],
+    ],
+    ids=["simulate-out-is-a-file", "gains-scenario-is-a-directory"],
+)
+def test_cli_os_errors_exit_2(tmp_path, capsys, argv):
+    # exit 1 means a failed validation; a path that cannot be used is an
+    # input error like any other
+    (tmp_path / "file").write_text("")
+    assert main(argv(tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err

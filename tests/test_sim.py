@@ -427,6 +427,14 @@ def test_advance_desired_holds_last_target_after_antipodal_step():
     assert np.allclose(out.r_d[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
 
 
+def test_held_is_an_output_not_a_constructor_argument():
+    # advance_desired sets it beside target; a value passed in would be
+    # overwritten by the first advance
+    with pytest.raises(TypeError):
+        DesiredAttitudeTrajectory(mode="prescribed", held=True)
+    assert not DesiredAttitudeTrajectory(mode="prescribed").held
+
+
 def test_advance_desired_rejects_bad_positions():
     # the same checks, with the same messages, as deployment_stats
     traj = DesiredAttitudeTrajectory(mode="source-seeking")

@@ -120,14 +120,14 @@ def ascending_direction(sigma_samples, stats: DeploymentStats) -> np.ndarray:
     return _ascending(sigma, stats.x, stats.radius)
 
 
-def heading_field(ell, eps_norm: float = 1e-9) -> np.ndarray:
+def heading_field(ell) -> np.ndarray:
     """Normalize the ascending-direction estimate onto the unit sphere.
 
-    Raises DegenerateDirection when ||L|| <= eps_norm (e.g. exactly at the
-    source). The simulator passes eps_norm = 1e-9 * (1 + max |sigma|) and
+    Raises DegenerateDirection when ||L|| <= 1e-9 (e.g. exactly at the
+    source). The simulator's threshold is 1e-9 * (1 + max |sigma|), and it
     applies a hold-previous policy on the error.
     """
-    return _heading(_arr3(ell), eps_norm)
+    return _heading(_arr3(ell), 1e-9)
 
 
 def _heading(ell, eps_norm):

@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import _arr3
-
-KINDS = ("gaussian", "quadratic", "sum_of_gaussians")
+from .so3 import _apply_kinds, _arr3, _finite3
 
 
 def _spd_matrix(value, name: str, power: int) -> np.ndarray:
@@ -47,33 +45,36 @@ class FieldSpec:
                        curvature Q is a scalar c (Q = c I), per-axis, or 3x3
     sum_of_gaussians:  sum of gaussian components; unique max at `source`
                        is checked numerically on a coarse grid
+
+    Every kind takes `source`; `KINDS` lists the other inputs of each kind,
+    and those of other kinds are rejected (they read None).
     """
 
+    KINDS = {
+        "gaussian": {"amplitude": 1.0, "width": 1.0},
+        "quadratic": {"amplitude": 1.0, "curvature": None, "domain_radius": None},
+        "sum_of_gaussians": {"components": None},
+    }
     kind: str
     source: np.ndarray
-    amplitude: float = 1.0
+    amplitude: float = None  # type: ignore[assignment]
     width: np.ndarray = None  # type: ignore[assignment]
     curvature: np.ndarray = None  # type: ignore[assignment]
-    domain_radius: float = 0.0
-    components: tuple = ()
+    domain_radius: float = None  # type: ignore[assignment]
+    components: tuple = None  # type: ignore[assignment]
     # (sources (K, 3), amplitudes (K,), matrices (K, 3, 3)): every kind is
     # a sum over K terms of d_k = p - source_k and d_k^T M_k d_k
     _terms: tuple = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        src = np.ascontiguousarray(self.source, dtype=np.float64)
-        if src.shape != (3,) or not np.all(np.isfinite(src)):
-            raise ValueError("source must be a finite 3-vector")
+        _apply_kinds(self, "field")
+        src = _finite3(self.source, "source")
         object.__setattr__(self, "source", src)
-        if not np.isfinite(self.amplitude):
+        if self.amplitude is not None and not np.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
 
         if self.kind == "quadratic":
-            q = _spd_matrix(
-                self.curvature if self.curvature is not None else 1.0, "curvature", 1
-            )
+            q = _spd_matrix(self.curvature, "curvature", 1)
             if not self.domain_radius > 0:
                 raise ValueError("quadratic kind needs a positive domain_radius")
             lam_max = float(np.max(np.linalg.eigvalsh(q)))
@@ -88,15 +89,12 @@ class FieldSpec:
             if self.kind == "gaussian":
                 if not self.amplitude > 0:
                     raise ValueError("amplitude must be positive")
-                width = self.width if self.width is not None else 1.0
-                components = ({"source": src, "amplitude": self.amplitude, "width": width},)
+                components = ({"source": src, "amplitude": self.amplitude, "width": self.width},)
             elif not components:
                 raise ValueError("sum_of_gaussians needs at least one component")
             terms = []
             for comp in components:
-                c_src = np.asarray(comp["source"], dtype=np.float64)
-                if c_src.shape != (3,) or not np.all(np.isfinite(c_src)):
-                    raise ValueError("component sources must be finite 3-vectors")
+                c_src = _finite3(comp["source"], "component source")
                 c_amp = float(comp["amplitude"])
                 if not 0 < c_amp < np.inf:
                     raise ValueError("component amplitudes must be positive and finite")

@@ -4,13 +4,13 @@
 required keys of each block and the YAML type of each value. It then
 builds the config once, so a file parses exactly when
 `scenario_to_config` builds it; every default and every value check
-lives in the config dataclasses. A null value means the key is absent,
-except for `width`, `curvature`, `positions`, `matrices` and the blocks,
-which must not be null (`field: null` means no field). Rotations are 9
-row-major values or a 3x3 nested list.
+lives in the config dataclasses, with the keys that each `kind` takes.
+A null value means the key is absent, except for `width`, `curvature`,
+`positions`, `matrices` and the blocks, which must not be null (`field:
+null` means no field). Rotations are 9 row-major values or a 3x3 nested list.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -43,7 +43,6 @@ class _Block:
 
     keys: dict
     required: tuple = ()
-    by_kind: dict = field(default_factory=dict)  # kind -> more required keys
     nullable: bool = False
 
 
@@ -72,7 +71,6 @@ SCHEMA = _Block(
         "placement": _Block(
             {"kind": STRING, "positions": ARRAY, "center": LIST, "radius": NUMBER},
             ("kind",),
-            {"ball": ("radius",)},
         ),
         "attitudes": _Block({"kind": STRING, "radius": NUMBER, "matrices": ARRAY}),
         "field": _Block(
@@ -86,7 +84,6 @@ SCHEMA = _Block(
                 "components": [_COMPONENT],
             },
             ("kind", "source"),
-            {"quadratic": ("curvature",)},
             nullable=True,
         ),
     },
@@ -115,7 +112,7 @@ def _check(value, spec, path):
             )
         for key, item in value.items():
             _check(item, spec.keys[key], f"{path}.{key}")
-        for key in spec.required + spec.by_kind.get(value.get("kind"), ()):
+        for key in spec.required:
             if value.get(key) is None:
                 raise ScenarioError(f"{path}: missing required key '{key}'")
 

@@ -58,7 +58,9 @@ from .deployment import (
 )
 from .errors import DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
-from .so3 import _I3, _arr3, _exp, _hat, _log, _mat3, _vee, is_rotation, project_to_so3
+from .so3 import (
+    _I3, _apply_kinds, _arr3, _exp, _finite3, _hat, _log, _mat3, _vee, is_rotation, project_to_so3
+)
 
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
 RATE_FRAMES = ("literal", "body")
@@ -113,10 +115,7 @@ class DesiredAttitudeTrajectory:
         object.__setattr__(self, "r_d", r)
         object.__setattr__(self, "target", r[:, 0].copy())
         for name in ("omega_known", "omega_unknown"):
-            w = _arr3(getattr(self, name))
-            if not np.isfinite(w).all():
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, w)
+            object.__setattr__(self, name, _finite3(getattr(self, name), name))
         if self.mode == "constant" and (self.omega_known.any() or self.omega_unknown.any()):
             raise ValueError("constant mode requires zero omega_known and omega_unknown")
         if not 0 <= self.omega_max_declared < np.inf:
@@ -125,19 +124,18 @@ class DesiredAttitudeTrajectory:
 
 @dataclass(frozen=True)
 class PlacementSpec:
-    """Initial positions: explicit list or a seeded uniform ball."""
+    """Initial positions offset by `center`: explicit (N, 3) `positions`
+    or a seeded uniform ball of `radius`, as `KINDS` lists them."""
 
-    kind: str = "ball"
+    KINDS = {"explicit": {"positions": None}, "ball": {"radius": None}}
+    kind: str
     positions: np.ndarray = None  # type: ignore[assignment]
     center: np.ndarray = (0.0, 0.0, 0.0)  # type: ignore[assignment]
-    radius: float = 1.0
+    radius: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.kind not in ("explicit", "ball"):
-            raise ValueError(f"unknown placement kind {self.kind!r}")
-        object.__setattr__(self, "center", _arr3(self.center))
-        if not np.isfinite(self.center).all():
-            raise ValueError("placement center must be finite")
+        _apply_kinds(self, "placement")
+        object.__setattr__(self, "center", _finite3(self.center, "placement center"))
         if self.kind == "explicit":
             object.__setattr__(self, "positions", _positions(self.positions))
         elif not 0 < self.radius < np.inf:
@@ -148,15 +146,15 @@ class PlacementSpec:
 class AttitudeInitSpec:
     """Initial attitudes: aligned with the reference, a seeded geodesic
     ball around it (axis uniform on the sphere, angle uniform in
-    [0, radius]), or explicit rotation matrices."""
+    [0, radius]), or explicit rotation `matrices`, as `KINDS` lists them."""
 
+    KINDS = {"aligned": {}, "ball": {"radius": None}, "explicit": {"matrices": None}}
     kind: str = "aligned"
-    radius: float = 0.0
+    radius: float = None  # type: ignore[assignment]
     matrices: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.kind not in ("aligned", "ball", "explicit"):
-            raise ValueError(f"unknown attitude init kind {self.kind!r}")
+        _apply_kinds(self, "attitude init")
         if self.kind == "ball" and not (0 < self.radius < np.pi):
             raise ValueError("attitude ball radius must be in (0, pi)")
         if self.kind == "explicit":
@@ -215,16 +213,12 @@ class SimConfig:
                 raise ValueError("source-seeking mode requires zero omega_unknown")
             if self.n_agents < 2:  # one agent's ascending estimate always vanishes
                 raise ValueError("source-seeking mode needs at least two agents")
-        if (
-            self.placement.kind == "explicit"
-            and self.placement.positions.shape[0] != self.n_agents
+        for what, given in (
+            ("explicit placement size", self.placement.positions),
+            ("explicit attitude count", self.attitudes.matrices),
         ):
-            raise ValueError("explicit placement size does not match n_agents")
-        if (
-            self.attitudes.kind == "explicit"
-            and self.attitudes.matrices.shape[0] != self.n_agents
-        ):
-            raise ValueError("explicit attitude count does not match n_agents")
+            if given is not None and given.shape[0] != self.n_agents:
+                raise ValueError(f"{what} does not match n_agents")
 
     @property
     def n_steps(self) -> int:

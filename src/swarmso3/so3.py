@@ -41,6 +41,30 @@ def _arr3(v) -> np.ndarray:
     return out
 
 
+def _finite3(v, name: str) -> np.ndarray:
+    out = _arr3(v)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    return out
+
+
+def _apply_kinds(spec, what: str):
+    """Check spec's inputs on its class's table `KINDS`, kind -> {input:
+    default, or None if required}, and fill in the defaults. An input is
+    given when not None; a missing one is reported before a foreign one."""
+    takes = spec.KINDS.get(spec.kind)
+    if takes is None:
+        raise ValueError(f"unknown {what} kind {spec.kind!r}")
+    for name, default in takes.items():
+        if getattr(spec, name) is None:
+            if default is None:
+                raise ValueError(f"{spec.kind} {what}: missing required key '{name}'")
+            object.__setattr__(spec, name, default)
+    for name in dict.fromkeys(n for t in spec.KINDS.values() for n in t):
+        if name not in takes and getattr(spec, name) is not None:
+            raise ValueError(f"{spec.kind} {what} does not take '{name}'")
+
+
 def _mat3(m) -> np.ndarray:
     out = np.ascontiguousarray(m, dtype=np.float64)
     if out.shape != (3, 3):
@@ -124,10 +148,10 @@ def hat(v) -> np.ndarray:
     return _hat(_arr3(v))
 
 
-def vee(s, tol: float = 1e-9) -> np.ndarray:
-    """Inverse of hat. Rejects inputs whose symmetric part exceeds tol."""
+def vee(s) -> np.ndarray:
+    """Inverse of hat. Rejects inputs whose symmetric part exceeds 1e-9."""
     s = _mat3(s)
-    if np.max(np.abs(s + s.T)) > tol:
+    if np.max(np.abs(s + s.T)) > 1e-9:
         raise ValueError("matrix is not skew-symmetric within tolerance")
     return _vee(s)
 
@@ -215,17 +239,17 @@ def exp_coord_derivative(tau, omega) -> np.ndarray:
     return omega + 0.5 * ad1 + coef * lie_bracket(th, ad1)
 
 
-def project_to_so3(m, tol: float = 1e-3) -> np.ndarray:
+def project_to_so3(m) -> np.ndarray:
     """Nearest rotations to m (..., 3, 3) in the Frobenius norm, the
     orthogonal polar factors (Higham 1986), for drift repair. Raises
-    ValueError unless every drift ||m^T m - I||_F is below tol (nan is
+    ValueError unless every drift ||m^T m - I||_F is below 1e-3 (nan is
     not): more drift means an integrator bug, not roundoff."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected shape (..., 3, 3), got {m.shape}")
     drift = _drift(m)
-    if not (drift < tol).all():
-        raise ValueError(f"drift ||M^T M - I||_F up to {np.max(drift):.3g} is not below {tol:g}")
+    if not (drift < 1e-3).all():
+        raise ValueError(f"drift ||M^T M - I||_F up to {np.max(drift):.3g} is not below 0.001")
     u, _, vt = np.linalg.svd(m)
     # flip the weakest singular direction where U V^T is a reflection
     u[..., :, 2] *= np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)[..., None]

@@ -159,6 +159,24 @@ def test_gaussian_is_the_one_component_mixture():
     assert np.array_equal(gauss.gradients(points), mix.gradients(points))
 
 
+@pytest.mark.parametrize(
+    "kwargs, defaults",
+    [
+        (dict(kind="gaussian"), dict(amplitude=1.0, width=1.0)),
+        (dict(kind="quadratic", curvature=0.01, domain_radius=5.0), dict(amplitude=1.0)),
+    ],
+    ids=["gaussian", "quadratic"],
+)
+def test_omitted_inputs_take_their_kinds_defaults(kwargs, defaults):
+    source = [1.0, -2.0, 0.5]
+    omitted = FieldSpec(source=source, **kwargs)
+    given = FieldSpec(source=source, **kwargs, **defaults)
+    for a, b in zip(omitted._terms, given._terms, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert omitted.amplitude == 1.0
+
+
 @pytest.mark.parametrize("p", [np.zeros((2, 3)), np.zeros(2)], ids=["stack", "short"])
 @pytest.mark.parametrize("fn", [field_eval, field_gradient], ids=["eval", "gradient"])
 def test_single_point_wrappers_take_one_point(fn, p):

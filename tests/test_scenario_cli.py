@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from swarmso3 import deployment_stats, plan_gains, scenario
+from swarmso3 import (
+    AttitudeInitSpec, FieldSpec, PlacementSpec, deployment_stats, plan_gains, scenario
+)
 from swarmso3.cli import main
 from swarmso3.errors import ScenarioError
 from swarmso3.scenario import load_scenario, parse_scenario, scenario_to_config
@@ -365,6 +367,87 @@ def test_required_keys(edit, match):
     edit(data)
     with pytest.raises(ScenarioError, match=match):
         scenario._checked(data)
+
+
+# a valid block of each kind for fig3 (ten agents), as scenario text would give it
+GAUSSIAN = {"kind": "gaussian", "source": [90.0, 60.0, 30.0], "amplitude": 100.0, "width": 60.0}
+KIND_BLOCKS = {
+    ("field", "gaussian"): GAUSSIAN,
+    ("field", "quadratic"): QUADRATIC,
+    ("field", "sum_of_gaussians"): SUM_OF_GAUSSIANS,
+    ("placement", "explicit"): {
+        "kind": "explicit", "positions": [[float(i), i * i, 0.0] for i in range(10)]
+    },
+    ("placement", "ball"): {"kind": "ball", "radius": 3.5},
+    ("attitudes", "aligned"): {"kind": "aligned"},
+    ("attitudes", "ball"): {"kind": "ball", "radius": 1.5},
+    ("attitudes", "explicit"): {"kind": "explicit", "matrices": [[1.0, 0, 0, 0, 1, 0, 0, 0, 1]] * 10},
+}
+SPECS = {"field": (FieldSpec, "field"), "placement": (PlacementSpec, "placement"),
+         "attitudes": (AttitudeInitSpec, "attitude init")}
+
+
+def _spec(block, data):
+    """The config class of a block, built from the block's keys."""
+    data = dict(data)
+    if "matrices" in data:
+        data["matrices"] = np.reshape(data["matrices"], (-1, 3, 3))
+    return SPECS[block][0](**data)
+
+
+@pytest.mark.parametrize(
+    "block, kind, key",
+    [
+        ("field", "gaussian", "curvature"),
+        ("field", "gaussian", "domain_radius"),
+        ("field", "gaussian", "components"),
+        ("field", "quadratic", "width"),
+        ("field", "quadratic", "components"),
+        ("field", "sum_of_gaussians", "amplitude"),
+        ("field", "sum_of_gaussians", "width"),
+        ("field", "sum_of_gaussians", "curvature"),
+        ("field", "sum_of_gaussians", "domain_radius"),
+        ("placement", "explicit", "radius"),
+        ("placement", "ball", "positions"),
+        ("attitudes", "aligned", "radius"),
+        ("attitudes", "aligned", "matrices"),
+        ("attitudes", "ball", "matrices"),
+        ("attitudes", "explicit", "radius"),
+    ],
+)
+def test_an_input_of_other_kinds_only_is_rejected(block, kind, key):
+    # the value is one that a kind taking the key accepts
+    donor = next(b for (k, _), b in KIND_BLOCKS.items() if k == block and key in b)
+    valid = {**_bases()["fig3"], block: KIND_BLOCKS[block, kind]}
+    scenario._checked(copy.deepcopy(valid))
+    data = {**valid, block: {**valid[block], key: donor[key]}}
+    match = f"^{kind} {SPECS[block][1]} does not take '{key}'$"
+    with pytest.raises(ValueError, match=match):
+        _spec(block, data[block])
+    with pytest.raises(ScenarioError, match=match):
+        scenario._checked(data)
+
+
+@pytest.mark.parametrize(
+    "block, kind, key",
+    [
+        ("field", "quadratic", "curvature"),
+        ("field", "quadratic", "domain_radius"),
+        ("field", "sum_of_gaussians", "components"),
+        ("placement", "explicit", "positions"),
+        ("placement", "ball", "radius"),
+        ("attitudes", "ball", "radius"),
+        ("attitudes", "explicit", "matrices"),
+    ],
+)
+def test_api_and_scenario_files_require_the_same_inputs(block, kind, key):
+    given = dict(KIND_BLOCKS[block, kind])
+    del given[key]
+    match = f"^{kind} {SPECS[block][1]}: missing required key '{key}'$"
+    with pytest.raises(ValueError, match=match):
+        _spec(block, given)
+    with pytest.raises(ScenarioError, match=match):
+        scenario._checked({**_bases()["fig3"], block: given})
 
 
 def test_cli_simulate_overflowing_covariance_exits_2(tmp_path, capsys):

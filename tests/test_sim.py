@@ -711,6 +711,23 @@ def test_explicit_attitudes_name_the_first_bad_index():
     assert AttitudeInitSpec(kind="explicit", matrices=mats).matrices.shape == (5, 3, 3)
 
 
+@pytest.mark.parametrize(
+    "name, spec, match",
+    [
+        ("placement", PlacementSpec(kind="explicit", positions=np.zeros((5, 3))),
+         "explicit placement size does not match n_agents"),
+        ("attitudes", AttitudeInitSpec(kind="explicit", matrices=np.tile(np.eye(3), (7, 1, 1))),
+         "explicit attitude count does not match n_agents"),
+    ],
+    ids=["positions", "matrices"],
+)
+def test_explicit_count_must_match_n_agents(name, spec, match):
+    with pytest.raises(ValueError, match=match):
+        _seek_config(**{name: spec})
+    n = len(spec.positions if name == "placement" else spec.matrices)
+    assert _seek_config(n_agents=n, **{name: spec}).n_agents == n
+
+
 def test_run_rejects_attitude_drift_at_a_projection(monkeypatch):
     # an integrator that scales every attitude by 1.01 per step drifts by
     # sqrt(3) (1.01^2 - 1) = 0.035 >= 1e-3; the projection after step 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import _apply_kinds, _arr3, _finite3
+from .so3 import _apply_kinds, _arr3, _finite3, _take
 
 
 def _spd_matrix(value, name: str, power: int) -> np.ndarray:
@@ -47,9 +47,11 @@ class FieldSpec:
                        is checked numerically on a coarse grid
 
     Every kind takes `source`; `KINDS` lists the other inputs of each kind,
-    and those of other kinds are rejected (they read None).
+    and those of other kinds are rejected (they read None). `COMPONENT`
+    lists the keys of one `components` entry, and rejects any other.
     """
 
+    COMPONENT = {"source": None, "amplitude": None, "width": 1.0}
     KINDS = {
         "gaussian": {"amplitude": 1.0, "width": 1.0},
         "quadratic": {"amplitude": 1.0, "curvature": None, "domain_radius": None},
@@ -93,12 +95,13 @@ class FieldSpec:
             elif not components:
                 raise ValueError("sum_of_gaussians needs at least one component")
             terms = []
-            for comp in components:
+            for i, comp in enumerate(components):
+                comp = _take(comp, self.COMPONENT, f"field component {i}")
                 c_src = _finite3(comp["source"], "component source")
                 c_amp = float(comp["amplitude"])
                 if not 0 < c_amp < np.inf:
                     raise ValueError("component amplitudes must be positive and finite")
-                c_w = _spd_matrix(comp.get("width", 1.0), "width", 2)
+                c_w = _spd_matrix(comp["width"], "width", 2)
                 terms.append((c_src, c_amp, np.linalg.inv(c_w)))
             if self.kind == "gaussian":  # its one component's normalised width
                 object.__setattr__(self, "width", c_w)

@@ -5,18 +5,23 @@ Per step: (1) store the reference's heading before the turn, (2) turn
 the reference (source-seeking recomputes the target heading from the
 swarm), (3) take the attitude error and record, (4) abort on the log
 singularity, (5) move every agent and spin the reference. The attitude
-update is the exact exponential of the commanded rate; position uses
-the body x-axis at the half step, so each agent moves exactly speed*dt
-per step.
+update is the exact exponential of the commanded rate, applied as two
+half-step turns; position uses the body x-axis at the half step, so each
+agent moves exactly speed*dt per step. The rate is held for dt, so in
+constant mode the error angle shrinks by |1 - k_w*dt| per step, not by
+exp(-k_w*dt).
 
 Batch axis: the swarm is an (N, 3) position array and an (N, 3, 3)
 attitude array, one row per agent, and each pass of `run`'s loop
 advances all N agents at once. Each piece of the step is one function,
 which the public per-step API (`reference_body_rates`, `advance_desired`,
 `step_agent`) calls too: `_retarget` (the turn), `_rates` (the known
-body rate and designed spin; once per run in the body frame, at each
-step in the literal frame, whose rates turn with r_d), `_error`,
-`_feedforward` and `_move`.
+body rate and the designed spin as a rotation vector; once per run in
+the body frame, at each step in the literal frame, whose rates turn with
+r_d), `_error`, `_feedforward` and `_move` (the pose step, given the
+half-step exponential). In the literal frame the spin vector is one more
+row of the agents' half-step rotation vectors, so one `_exp` a step
+gives both; a row of a stack has the bits of its own `_exp`.
 
 The loop computes only what the control law reads back, and records p,
 r, r_d, mu, hold and the heading before the step's turn. The log-only
@@ -267,13 +272,16 @@ def _body_rates(rate_frame, r_d, w_known, w_unknown):
 
 def _rates(trj, rate_frame, r_d, dt):
     """(wk, spin) of the reference r_d of trajectory trj: its body-frame
-    known rate and its designed spin over dt, the exponential of its body
-    rates, so r_d @ spin is the reference after dt. Source-seeking spins
-    by the known rate only; its heading turn is `_retarget`."""
+    known rate and its designed spin over dt as a rotation vector, dt
+    times its body rates, so r_d @ _exp(spin) is the reference after dt.
+    Source-seeking spins by the known rate only; its heading turn is
+    `_retarget`. The callers take the exponential: the body frame once
+    per run, `advance_desired` once, and the literal frame's loop in the
+    same `_exp` call as the agents' half steps."""
     wk, wu = _body_rates(rate_frame, r_d, trj.omega_known, trj.omega_unknown)
     if trj.mode == "source-seeking":
-        return wk, _exp(dt * wk)
-    return wk, _exp(dt * (wk + wu))
+        return wk, dt * wk
+    return wk, dt * (wk + wu)
 
 
 def _turn(heading, target):
@@ -310,9 +318,11 @@ def _retarget(r_d, target, p, field):
     return q @ r_d, md, held
 
 
-def _move(p, r, w, s, dt):
-    """Pose step under body rates w (..., 3) at forward speed s."""
-    e_half = _exp(0.5 * dt * w)
+def _move(p, r, e_half, s, dt):
+    """Pose step at forward speed s, given the half-step exponential
+    e_half = _exp(0.5 * dt * w) of body rates w (..., 3): the attitude
+    turns by e_half twice, and the position moves along the body x-axis
+    of the half step."""
     r_half = r @ e_half
     return p + dt * s * r_half[..., :, 0], r_half @ e_half
 
@@ -372,7 +382,7 @@ def step_agent(state: RobotState, omega, s: float, dt: float) -> RobotState:
     """Advance one agent by dt under skew rate omega at forward speed s."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    p, r = _move(state.p, state.r, _vee(_mat3(omega)), s, dt)
+    p, r = _move(state.p, state.r, _exp(0.5 * dt * _vee(_mat3(omega))), s, dt)
     return RobotState(p=p, r=r)
 
 
@@ -402,7 +412,7 @@ def advance_desired(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pre = traj.r_d @ _rates(traj, rate_frame, traj.r_d, dt)[1]
+    pre = traj.r_d @ _exp(_rates(traj, rate_frame, traj.r_d, dt)[1])
     if traj.mode != "source-seeking":
         return replace(traj, r_d=pre)
 
@@ -508,17 +518,22 @@ def run(config: SimConfig) -> SimLog:
     """
     p, r = _initial_conditions(config)
     n, m = config.n_agents, config.n_steps + 1
-    trj, dt = config.trajectory, config.dt
+    trj, dt, k_w = config.trajectory, config.dt, config.controller.k_w
     seeking, literal = trj.mode == "source-seeking", config.rate_frame == "literal"
     shapes = ((n, 3), (n, 3, 3), (3, 3), (n,), (3,))
     stored = tuple(np.zeros((m,) + s) for s in shapes) + (np.zeros(m, dtype=np.int8),)
     ps, rs, r_ds, mus, pres, holds = stored
     r_d, target = trj.r_d, trj.r_d[:, 0].copy()
     # body-frame rates are run constants; literal ones turn with r_d
-    wk, spin = _rates(trj, config.rate_frame, r_d, dt)
+    wk, tau = _rates(trj, config.rate_frame, r_d, dt)
+    spin = _exp(tau)
+    # rows 0..n-1: the agents' half-step rotation vectors; in the literal
+    # frame, row n is the reference's spin vector, so that one _exp a
+    # step gives both
+    half = np.empty((n + literal, 3))
     for k in range(m):
-        pres[k] = r_d[:, 0]
         if seeking:
+            pres[k] = r_d[:, 0]
             r_d, target, holds[k] = _retarget(r_d, target, p, config.field)
         r_e, tau_e, mu, ok = _error(r_d, r)
         ps[k], rs[k], r_ds[k], mus[k] = p, r, r_d, mu
@@ -538,9 +553,11 @@ def run(config: SimConfig) -> SimLog:
         if k == m - 1:
             break
         if literal:
-            wk, spin = _rates(trj, "literal", r_d, dt)
-        p, r = _move(p, r, _feedforward(r_e, tau_e, wk, config.controller.k_w), config.speed, dt)
-        r_d = r_d @ spin
+            wk, half[n] = _rates(trj, "literal", r_d, dt)
+        np.multiply(_feedforward(r_e, tau_e, wk, k_w), 0.5 * dt, out=half[:n])
+        e = _exp(half)
+        p, r = _move(p, r, e[:n], config.speed, dt)
+        r_d = r_d @ (e[n] if literal else spin)
         if (k + 1) % PROJECT_EVERY == 0:
             try:
                 r, r_d = project_to_so3(r), project_to_so3(r_d)

@@ -48,21 +48,29 @@ def _finite3(v, name: str) -> np.ndarray:
     return out
 
 
+def _take(given: dict, takes: dict, what: str) -> dict:
+    """The inputs `given` (name -> value, None meaning absent) checked on
+    the table `takes`, name -> default or None if required, with the
+    defaults filled in. A missing input is reported before a foreign one."""
+    for name, default in takes.items():
+        if given.get(name) is None and default is None:
+            raise ValueError(f"{what}: missing required key '{name}'")
+    for name, value in given.items():
+        if name not in takes and value is not None:
+            raise ValueError(f"{what} does not take '{name}'")
+    return {n: d if given.get(n) is None else given[n] for n, d in takes.items()}
+
+
 def _apply_kinds(spec, what: str):
-    """Check spec's inputs on its class's table `KINDS`, kind -> {input:
-    default, or None if required}, and fill in the defaults. An input is
-    given when not None; a missing one is reported before a foreign one."""
+    """Check spec's inputs on its class's table `KINDS`, kind -> the
+    `_take` table of that kind, and fill in the defaults."""
     takes = spec.KINDS.get(spec.kind)
     if takes is None:
         raise ValueError(f"unknown {what} kind {spec.kind!r}")
-    for name, default in takes.items():
-        if getattr(spec, name) is None:
-            if default is None:
-                raise ValueError(f"{spec.kind} {what}: missing required key '{name}'")
-            object.__setattr__(spec, name, default)
-    for name in dict.fromkeys(n for t in spec.KINDS.values() for n in t):
-        if name not in takes and getattr(spec, name) is not None:
-            raise ValueError(f"{spec.kind} {what} does not take '{name}'")
+    names = dict.fromkeys(n for t in spec.KINDS.values() for n in t)
+    given = {name: getattr(spec, name) for name in names}
+    for name, value in _take(given, takes, f"{spec.kind} {what}").items():
+        object.__setattr__(spec, name, value)
 
 
 def _mat3(m) -> np.ndarray:
@@ -73,7 +81,10 @@ def _mat3(m) -> np.ndarray:
 
 
 def _hat(v):
-    return (v @ _GEN).reshape(v.shape + (3,))
+    # a stack of more than one batch axis as one 2-D product, not many
+    # tiny ones; each entry is one exact +-v_i plus signed zeros either way
+    flat = v.reshape(-1, 3) if v.ndim > 2 else v
+    return (flat @ _GEN).reshape(v.shape + (3,))
 
 
 def _vee(s):
@@ -96,8 +107,14 @@ def _exp(tau):
     else:
         a = np.sin(theta) / theta
         b = (1.0 - np.cos(theta)) / t2
+    # formed in place as (b K^2 + a K) + I, the bits of (a K + b K^2) + I
     k = _hat(tau)
-    return a[..., None, None] * k + b[..., None, None] * (k @ k) + _I3
+    r = k @ k
+    r *= b[..., None, None]
+    k *= a[..., None, None]
+    r += k
+    r += _I3
+    return r
 
 
 def _angle(r):

@@ -450,6 +450,28 @@ def test_api_and_scenario_files_require_the_same_inputs(block, kind, key):
         scenario._checked({**_bases()["fig3"], block: given})
 
 
+@pytest.mark.parametrize(
+    "edit, api, file",
+    [
+        (lambda c: c.update(widht=c.pop("width")),
+         "^field component 1 does not take 'widht'$",
+         r"^scenario\.field\.components\[1\]: unknown keys \['widht'\] \(allowed: "),
+        (lambda c: c.pop("source"),
+         "^field component 1: missing required key 'source'$",
+         r"^scenario\.field\.components\[1\]: missing required key 'source'$"),
+    ],
+    ids=["misspelt-width", "no-source"],
+)
+def test_field_components_take_only_their_keys(edit, api, file):
+    # the API names the key as scenario files do, each with its own message
+    block = copy.deepcopy(SUM_OF_GAUSSIANS)
+    edit(block["components"][1])
+    with pytest.raises(ValueError, match=api):
+        _spec("field", block)
+    with pytest.raises(ScenarioError, match=file):
+        scenario._checked({**_bases()["fig3"], "field": block})
+
+
 def test_cli_simulate_overflowing_covariance_exits_2(tmp_path, capsys):
     # validate's closed-loop run at speed 1e200: the positions stay finite
     # but their covariance overflows, and the error says so

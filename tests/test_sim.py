@@ -29,7 +29,7 @@ from swarmso3 import (
     run,
     step_agent,
 )
-from swarmso3 import validate
+from swarmso3 import so3, validate
 from swarmso3.deployment import deployment_stats, weyl_floor_violation
 from swarmso3.reporting import summarize, write_step_table
 from swarmso3.scenario import parse_scenario, scenario_to_config
@@ -265,6 +265,29 @@ def test_per_step_error_decrease_above_band():
     above = mu[:-1] > 0.4 + 0.05
     diffs = np.diff(mu, axis=0)
     assert np.all(diffs[above] < 0.0)
+
+
+@pytest.mark.parametrize("k_w_dt", [0.01, 0.1, 0.5, 0.9, 1.5])
+def test_constant_mode_contracts_by_one_minus_k_w_dt(k_w_dt):
+    # With r_d = I each step turns R by exp(-k_w dt log R) about its own
+    # axis, so mu_{k+1} = |1 - k_w dt| mu_k exactly, not exp(-k_w dt) mu_k.
+    # Roundoff: the new attitude's entries take 6 roundings (two 3-term
+    # products) and its angle 4 more, each of the size of the entries:
+    # mu_k in the skew part, and the drift d_k = ||R^T R - I||_F of R from
+    # SO(3) in the symmetric part. mu_k carries as many roundings, so the
+    # ratio is off by at most 20 eps (mu_k + d_k) / mu_k. The drift term
+    # matters once mu_k nears eps, as at k_w dt = 0.9 (mu_20 ~ 6e-21).
+    text = resources.files("swarmso3").joinpath("scenarios", "prop1_smoke.scenario")
+    cfg = scenario_to_config(parse_scenario(text.read_text(encoding="utf-8")))
+    cfg = dataclasses.replace(
+        cfg, t_end=20 * cfg.dt,
+        controller=dataclasses.replace(cfg.controller, k_w=k_w_dt / cfg.dt),
+    )
+    log = run(cfg)
+    mu, drift = log.mu[:, 0], so3._drift(log.r[:, 0])
+    ratio = mu[1:] / mu[:-1]
+    tol = 20 * np.finfo(float).eps * (1.0 + drift[:-1] / mu[:-1])
+    assert np.all(np.abs(ratio - abs(1.0 - k_w_dt)) <= tol)
 
 
 def test_dt_refinement_first_order():

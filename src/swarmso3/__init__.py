@@ -54,7 +54,6 @@ from .so3 import (
     lie_bracket,
     log_so3,
     project_to_so3,
-    rotation_angle,
     vee,
 )
 

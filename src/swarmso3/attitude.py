@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NearPiSingularity
-from .so3 import _adjoint, _arr3, _hat, _log, _mat3, _vee
+from .so3 import _COL, _ROW, _adjoint, _arr3, _hat, _log, _mat3, _skew, _vee, log_so3
 
 
 @dataclass(frozen=True)
@@ -30,15 +30,16 @@ class AttitudeError:
 class DesiredAttitudeRate:
     """Known body-frame rate of the reference, plus the bound on what is not.
 
-    `known` is a skew matrix (the part the controller may use);
-    `unknown_bound` bounds the norm of the unseen remainder.
+    `known` is a skew matrix (the part the controller may use), rejected
+    as `so3.vee` rejects one; `unknown_bound` bounds the norm of the
+    unseen remainder.
     """
 
     known: np.ndarray
     unknown_bound: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "known", _mat3(self.known))
+        object.__setattr__(self, "known", _skew(self.known))
         if not np.isfinite(self.unknown_bound) or self.unknown_bound < 0:
             raise ValueError("unknown_bound must be finite and >= 0")
 
@@ -82,16 +83,13 @@ def _feedforward(r_e, tau_e, w_known, k_w):
     return -k_w * tau_e + w_known @ r_e
 
 
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
 def _alignment(x_b, m_d):
     """Great-circle angles between headings x_b (..., 3) and m_d (..., 3),
     broadcast against each other, as atan2(|x_b x m_d|, x_b . m_d), which
     keeps full precision near 0. Cross and dot products are formed
     elementwise, so the cross is exactly 0 for x_b = m_d and each angle
     has the same bits however the headings are stacked."""
-    cross = x_b[..., _NEXT] * m_d[..., _PREV] - x_b[..., _PREV] * m_d[..., _NEXT]
+    cross = x_b[..., _COL] * m_d[..., _ROW] - x_b[..., _ROW] * m_d[..., _COL]
     return np.arctan2(np.linalg.norm(cross, axis=-1), (x_b * m_d).sum(axis=-1))
 
 
@@ -126,7 +124,7 @@ def control_full_ff(r_e, omega_d, k_w: float) -> np.ndarray:
     Substituted into `error_rate` this gives exactly -k_w log(R_e), hence
     mu decays as exp(-k_w t) for any reference with known rate.
     """
-    return control_known_ff(r_e, DesiredAttitudeRate(known=_mat3(omega_d)), k_w)
+    return control_known_ff(r_e, DesiredAttitudeRate(known=omega_d), k_w)
 
 
 def control_known_ff(r_e, rate: DesiredAttitudeRate, k_w: float) -> np.ndarray:
@@ -134,10 +132,7 @@ def control_known_ff(r_e, rate: DesiredAttitudeRate, k_w: float) -> np.ndarray:
     if not k_w > 0:
         raise ValueError("k_w must be positive")
     r_e = _mat3(r_e)
-    tau_e, _, ok = _log(r_e)
-    if not ok:
-        raise NearPiSingularity()
-    return _hat(_feedforward(r_e, tau_e, _vee(rate.known), k_w))
+    return _hat(_feedforward(r_e, log_so3(r_e), _vee(rate.known), k_w))
 
 
 def gain_for_bounded_rate(omega_max: float, mu_star: float) -> float:

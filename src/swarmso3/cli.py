@@ -21,7 +21,7 @@ from .deployment import deployment_stats, plan_gains
 from .errors import NearPiSingularity, SwarmSO3Error
 from .reporting import summarize, write_step_table, write_summary
 from .scenario import parse_scenario, scenario_to_config
-from .sim import _initial_conditions, run
+from .sim import RATE_FRAMES, _initial_conditions, run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None, help="override RNG seed")
     p_sim.add_argument(
         "--rate-frame",
-        choices=("literal", "body"),
+        choices=RATE_FRAMES,
         default=None,
         dest="rate_frame",
         help="override the reference-rate frame convention",

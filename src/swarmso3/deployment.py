@@ -52,28 +52,12 @@ class GainPlan:
 def _barycentric(p):
     """(centroid, x, radius) of positions (..., N, 3): the centroids, the
     barycentric coordinates x_i = p_i - centroid and max_i ||x_i||, one
-    per leading index. Unchecked; the simulator's loop and post-pass and
+    per leading index. Unchecked; the simulator's loop, `_spread` and
     `weyl_floor_violation` call it on (N, 3) snapshots and (steps, N, 3)
     blocks of the log."""
     pc = p.sum(axis=-2) / p.shape[-2]  # numpy's own definition of mean
     x = p - pc[..., None, :]
     return pc, x, np.sqrt((x * x).sum(axis=-1).max(axis=-1))
-
-
-def _covariance(x):
-    """P = (1/N) sum_i x_i x_i^T of barycentric coordinates x (..., N, 3)."""
-    return np.swapaxes(x, -1, -2) @ x / x.shape[-2]
-
-
-def _lambda_min(cov):
-    """Smallest eigenvalue of each covariance (..., 3, 3). Raises
-    ValueError when a covariance is not finite, which finite coordinates
-    beyond ~1e154 cause by overflowing their squares."""
-    if not np.isfinite(cov).all():
-        raise ValueError(
-            "the position covariance is not finite: coordinates this large overflow it"
-        )
-    return np.linalg.eigvalsh(cov)[..., 0]
 
 
 def _positions(positions):
@@ -88,14 +72,31 @@ def _positions(positions):
     return p
 
 
+def _spread(p):
+    """(centroid, x, radius, covariance, lambda_min) of positions (...,
+    N, 3), one per leading index: the `_barycentric` triple, the
+    covariance P = (1/N) sum_i x_i x_i^T and its smallest eigenvalue.
+    Raises ValueError when a covariance is not finite, which finite
+    coordinates beyond ~1e154 cause by overflowing their squares; that
+    check is why the overflow warnings of the radius and covariance are
+    silenced. `deployment_stats` and the simulator's post-pass call it."""
+    with np.errstate(over="ignore"):
+        pc, x, radius = _barycentric(p)
+        cov = np.swapaxes(x, -1, -2) @ x / x.shape[-2]
+    if not np.isfinite(cov).all():
+        raise ValueError(
+            "the position covariance is not finite: coordinates this large overflow it"
+        )
+    return pc, x, radius, cov, np.linalg.eigvalsh(cov)[..., 0]
+
+
 def deployment_stats(positions) -> DeploymentStats:
-    pc, x, radius = _barycentric(_positions(positions))
-    cov = _covariance(x)
+    pc, x, radius, cov, lam = _spread(_positions(positions))
     return DeploymentStats(
         centroid=pc,
         x=x,
         covariance=cov,
-        lambda_min=float(_lambda_min(cov)),
+        lambda_min=float(lam),
         radius=float(radius),
     )
 
@@ -213,12 +214,11 @@ def weyl_floor_violation(positions, lambda_min) -> float:
     """
     stats0 = deployment_stats(positions[0])
     m, n = positions.shape[:2]
-    x0 = _barycentric(positions[:1])[1]
     eps = np.empty(m)
     steps = _block_steps(n)
     for a in range(0, m, steps):
         x = _barycentric(positions[a : a + steps])[1]
-        x -= x0
+        x -= stats0.x
         x *= x
         eps[a : a + steps] = np.sqrt(x.sum(axis=2).max(axis=1))
     floor = stats0.lambda_min - covariance_perturbation_bound(eps, stats0)

@@ -19,9 +19,12 @@ which the public per-step API (`reference_body_rates`, `advance_desired`,
 body rate and the designed spin as a rotation vector; once per run in
 the body frame, at each step in the literal frame, whose rates turn with
 r_d), `_error`, `_feedforward` and `_move` (the pose step, given the
-half-step exponential). In the literal frame the spin vector is one more
-row of the agents' half-step rotation vectors, so one `_exp` a step
-gives both; a row of a stack has the bits of its own `_exp`.
+half-step exponential). In both frames the spin vector is one more row
+of the agents' half-step rotation vectors, so one `_exp` a step gives
+both; a row of a stack has the bits of its own `_exp`. An overflow ends
+in ValueError: the loop silences its overflow and invalid-value
+warnings, and the finite checks after it name the state that stopped
+being finite.
 
 The loop computes only what the control law reads back, and records p,
 r, r_d, mu, hold and the heading before the step's turn. The log-only
@@ -56,15 +59,14 @@ from .deployment import (
     _ascending,
     _barycentric,
     _block_steps,
-    _covariance,
     _heading,
-    _lambda_min,
     _positions,
+    _spread,
 )
 from .errors import DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
 from .so3 import (
-    _I3, _apply_kinds, _arr3, _exp, _finite3, _hat, _log, _mat3, _vee, is_rotation, project_to_so3
+    _I3, _apply_kinds, _arr3, _exp, _finite3, _hat, _log, _mat3, is_rotation, project_to_so3, vee
 )
 
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
@@ -275,9 +277,10 @@ def _rates(trj, rate_frame, r_d, dt):
     known rate and its designed spin over dt as a rotation vector, dt
     times its body rates, so r_d @ _exp(spin) is the reference after dt.
     Source-seeking spins by the known rate only; its heading turn is
-    `_retarget`. The callers take the exponential: the body frame once
-    per run, `advance_desired` once, and the literal frame's loop in the
-    same `_exp` call as the agents' half steps."""
+    `_retarget`. `run` writes the spin as the last row of the agents'
+    half-step rotation vectors, once in the body frame and at each step
+    in the literal frame, so its exponential comes from the same `_exp`
+    call; `advance_desired` takes it alone."""
     wk, wu = _body_rates(rate_frame, r_d, trj.omega_known, trj.omega_unknown)
     if trj.mode == "source-seeking":
         return wk, dt * wk
@@ -382,7 +385,7 @@ def step_agent(state: RobotState, omega, s: float, dt: float) -> RobotState:
     """Advance one agent by dt under skew rate omega at forward speed s."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    p, r = _move(state.p, state.r, _exp(0.5 * dt * _vee(_mat3(omega))), s, dt)
+    p, r = _move(state.p, state.r, _exp(0.5 * dt * vee(omega)), s, dt)
     return RobotState(p=p, r=r)
 
 
@@ -483,8 +486,7 @@ def _derived(config, p, r, r_d, pre):
     steps = _block_steps(n)
     for a in range(0, m, steps):
         blk = slice(a, a + steps)
-        pc, x, _ = _barycentric(p[blk])
-        lam[blk] = _lambda_min(_covariance(x))
+        pc, _, _, _, lam[blk] = _spread(p[blk])
         delta[blk] = _alignment(r[blk, :, :, 0], r_d[blk, None, :, 0])
         pair[blk] = _diameter(p[blk] - p[0])
         if fld is not None:
@@ -524,43 +526,40 @@ def run(config: SimConfig) -> SimLog:
     stored = tuple(np.zeros((m,) + s) for s in shapes) + (np.zeros(m, dtype=np.int8),)
     ps, rs, r_ds, mus, pres, holds = stored
     r_d, target = trj.r_d, trj.r_d[:, 0].copy()
-    # body-frame rates are run constants; literal ones turn with r_d
-    wk, tau = _rates(trj, config.rate_frame, r_d, dt)
-    spin = _exp(tau)
-    # rows 0..n-1: the agents' half-step rotation vectors; in the literal
-    # frame, row n is the reference's spin vector, so that one _exp a
-    # step gives both
-    half = np.empty((n + literal, 3))
-    for k in range(m):
-        if seeking:
-            pres[k] = r_d[:, 0]
-            r_d, target, holds[k] = _retarget(r_d, target, p, config.field)
-        r_e, tau_e, mu, ok = _error(r_d, r)
-        ps[k], rs[k], r_ds[k], mus[k] = p, r, r_d, mu
-        if not ok.all():
-            # a blown-up state also fails the log's angle test; it is not
-            # a singularity of the control law
-            if not all(np.isfinite(a).all() for a in (p, r, r_d)):
-                raise ValueError(
-                    f"positions, attitudes and the reference must be finite; step {k} is not"
-                )
-            reason = (
-                f"attitude error of agent {int(np.argmin(ok))} reached "
-                f"the log singularity at step {k}"
-            )
-            partial = _finish(config, stored, k, aborted=True, abort_reason=reason)
-            raise NearPiSingularity(reason, partial_log=partial)
-        if k == m - 1:
-            break
-        if literal:
-            wk, half[n] = _rates(trj, "literal", r_d, dt)
-        np.multiply(_feedforward(r_e, tau_e, wk, k_w), 0.5 * dt, out=half[:n])
-        e = _exp(half)
-        p, r = _move(p, r, e[:n], config.speed, dt)
-        r_d = r_d @ (e[n] if literal else spin)
-        if (k + 1) % PROJECT_EVERY == 0:
-            try:
-                r, r_d = project_to_so3(r), project_to_so3(r_d)
-            except ValueError as err:
-                raise ValueError(f"the attitudes at step {k + 1} are not rotations: {err}") from None
+    # rows 0..n-1: the agents' half-step rotation vectors; row n: the
+    # reference's spin vector, so that one _exp a step gives both. Body-
+    # frame rates are run constants; literal ones turn with r_d.
+    half = np.empty((n + 1, 3))
+    wk, half[n] = _rates(trj, config.rate_frame, r_d, dt)
+    # every value the loop forms lands in p, r or r_d, whose checks after
+    # it (the log's angle test `ok` for r and r_d, `_derived`'s for p) turn
+    # an overflow into ValueError; its warnings would pre-empt that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m):
+            if seeking:
+                pres[k] = r_d[:, 0]
+                r_d, target, holds[k] = _retarget(r_d, target, p, config.field)
+            r_e, tau_e, mu, ok = _error(r_d, r)
+            ps[k], rs[k], r_ds[k], mus[k] = p, r, r_d, mu
+            if k == m - 1 or not ok.all():
+                break
+            if literal:
+                wk, half[n] = _rates(trj, "literal", r_d, dt)
+            np.multiply(_feedforward(r_e, tau_e, wk, k_w), 0.5 * dt, out=half[:n])
+            e = _exp(half)
+            p, r = _move(p, r, e[:n], config.speed, dt)
+            r_d = r_d @ e[n]
+            if (k + 1) % PROJECT_EVERY == 0:
+                try:
+                    r, r_d = project_to_so3(r), project_to_so3(r_d)
+                except ValueError as err:
+                    raise ValueError(f"the attitudes at step {k + 1} are not rotations: {err}") from None
+    if not ok.all():
+        # a blown-up state also fails the log's angle test; it is not a
+        # singularity of the control law
+        if not all(np.isfinite(a).all() for a in (p, r, r_d)):
+            raise ValueError(f"positions, attitudes and the reference must be finite; step {k} is not")
+        reason = f"attitude error of agent {int(np.argmin(ok))} reached the log singularity at step {k}"
+        partial = _finish(config, stored, k, aborted=True, abort_reason=reason)
+        raise NearPiSingularity(reason, partial_log=partial)
     return _finish(config, stored, m)

@@ -165,12 +165,18 @@ def hat(v) -> np.ndarray:
     return _hat(_arr3(v))
 
 
-def vee(s) -> np.ndarray:
-    """Inverse of hat. Rejects inputs whose symmetric part exceeds 1e-9."""
+def _skew(s) -> np.ndarray:
+    """s as a float 3x3 array; ValueError unless its symmetric part is
+    within 1e-9. The check of `vee` and of every skew-rate input."""
     s = _mat3(s)
     if np.max(np.abs(s + s.T)) > 1e-9:
         raise ValueError("matrix is not skew-symmetric within tolerance")
-    return _vee(s)
+    return s
+
+
+def vee(s) -> np.ndarray:
+    """Inverse of hat. Rejects inputs whose symmetric part exceeds 1e-9."""
+    return _vee(_skew(s))
 
 
 def exp_so3(tau) -> np.ndarray:
@@ -190,17 +196,13 @@ def log_so3(r) -> np.ndarray:
     return tau
 
 
-def rotation_angle(r) -> float:
-    """Rotation angle of R, i.e. its geodesic distance from identity."""
-    _, _, theta, ok = _angle(_mat3(r))
+def dist_geodesic(r1, r2) -> float:
+    """Rotation angle between r1 and r2 (the natural SO(3) metric); raises
+    NearPiSingularity where `log_so3(r1^T r2)` does."""
+    _, _, theta, ok = _angle(_mat3(r1).T @ _mat3(r2))
     if not ok:
         raise NearPiSingularity()
     return float(theta)
-
-
-def dist_geodesic(r1, r2) -> float:
-    """Rotation angle between r1 and r2 (the natural SO(3) metric)."""
-    return rotation_angle(_mat3(r1).T @ _mat3(r2))
 
 
 def dist_log(r1, r2) -> float:
@@ -211,10 +213,7 @@ def dist_log(r1, r2) -> float:
     two checks the log's scaling and `_hat`, not the angle. Raises
     NearPiSingularity where the log is undefined.
     """
-    tau, _, ok = _log(_mat3(r1).T @ _mat3(r2))
-    if not ok:
-        raise NearPiSingularity()
-    k = _hat(tau)
+    k = _hat(log_so3(_mat3(r1).T @ _mat3(r2)))
     return float(np.sqrt((k * k).sum()))
 
 

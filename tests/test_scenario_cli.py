@@ -177,10 +177,40 @@ def test_cli_simulate_blown_up_state_exits_2(tmp_path, capsys):
     data["controller"]["k_w"] = 1e300
     scenario_file = tmp_path / "blowup.scenario"
     scenario_file.write_text(yaml.safe_dump(data))
-    with np.errstate(all="ignore"):
-        code = main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")])
+    code = main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def _scaled_placement(data, factor):
+    block = data["placement"]
+    block["positions"] = [[factor * c for c in row] for row in block["positions"]]
+
+
+@pytest.mark.parametrize(
+    "command, change, message",
+    [
+        ("simulate", lambda d: d["controller"].update(k_w=1e300),
+         "positions, attitudes and the reference must be finite"),
+        ("simulate", lambda d: d["trajectory"].update(omega_known=[1e300, 0.0, 0.0]),
+         "positions, attitudes and the reference must be finite"),
+        ("simulate", lambda d: d.update(speed=1e308), "positions must be finite"),
+        ("simulate", lambda d: d.update(speed=1e200), "the position covariance is not finite"),
+        ("gains", lambda d: _scaled_placement(d, 1e160), "the position covariance is not finite"),
+    ],
+    ids=["k_w", "omega_known", "speed-1e308", "speed-1e200", "gains-placement-1e160"],
+)
+def test_cli_overflow_exits_2(tmp_path, capsys, command, change, message):
+    # fig2 driven to overflow, with RuntimeWarning an error as in the whole
+    # suite: the overflow is the config error its message names (exit 2),
+    # not a warning turned traceback (exit 1)
+    data = _bases()["fig2"]
+    change(data)
+    scenario_file = tmp_path / "overflow.scenario"
+    scenario_file.write_text(yaml.safe_dump(data))
+    out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, str(scenario_file), *out]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_cli_validate_quick(capsys):
@@ -489,8 +519,7 @@ def test_cli_simulate_overflowing_covariance_exits_2(tmp_path, capsys):
     }
     scenario_file = tmp_path / "overflow.scenario"
     scenario_file.write_text(yaml.safe_dump(data))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")])
+    code = main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "covariance is not finite" in capsys.readouterr().err
 

@@ -709,7 +709,7 @@ def test_blown_up_state_is_a_value_error(make_config, blow_up):
     # config error (exit 2), not the log singularity it also trips. At
     # speed 1e308 the positions overflow while the attitudes stay finite,
     # so only the check on the stored position log sees it.
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be finite"):
         run(blow_up(make_config()))
 
 
@@ -717,11 +717,10 @@ def test_overflowing_covariance_is_named():
     # speed 1e200 keeps the positions finite but overflows their
     # covariance; eigvalsh would fail with "Eigenvalues did not converge"
     cfg = dataclasses.replace(validate._closed_loop_log(0.25).config, speed=1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="covariance is not finite"):
-            run(cfg)
-        with pytest.raises(ValueError, match="covariance is not finite"):
-            deployment_stats(RNG.normal(size=(5, 3)) * 1e160)
+    with pytest.raises(ValueError, match="covariance is not finite"):
+        run(cfg)
+    with pytest.raises(ValueError, match="covariance is not finite"):
+        deployment_stats(RNG.normal(size=(5, 3)) * 1e160)
 
 
 def test_explicit_attitudes_name_the_first_bad_index():

@@ -5,9 +5,7 @@ from .attitude import (
     ControllerConfig,
     DesiredAttitudeRate,
     attitude_error,
-    control_full_ff,
     control_known_ff,
-    error_rate,
     gain_for_bounded_rate,
     heading_alignment_delta,
 )
@@ -19,7 +17,6 @@ from .deployment import (
     deployment_stats,
     epsilon_max,
     gain_for_nondegeneracy,
-    heading_field,
     pairwise_displacement_bound,
     plan_gains,
 )

@@ -1,20 +1,20 @@
-"""Attitude error dynamics and the proportional feed-forward controllers.
+"""Attitude error and the proportional feed-forward controller.
 
 The error matrix is R_e = R_d^T R; its rotation angle mu is the tracking
-error. Two control laws: full feed-forward (the reference rate is fully
-known) and known-only feed-forward (the reference rate has an unknown
-component, compensated by raising the gain via `gain_for_bounded_rate`).
-The private `_error` and `_feedforward` take a leading batch axis of
-agents, and `_alignment` any leading batch shape; the public functions
-and the simulator both call them.
+error. One control law, `control_known_ff`: proportional feedback plus
+the feed-forward of the known part of the reference rate. Full
+feed-forward is its case where the whole rate is known; an unknown
+component is compensated by raising the gain via
+`gain_for_bounded_rate`. The private `_feedforward` takes a leading
+batch axis of agents, and `_alignment` any leading batch shape; the
+public functions and the simulator both call them.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NearPiSingularity
-from .so3 import _COL, _ROW, _adjoint, _arr3, _hat, _log, _mat3, _skew, _vee, log_so3
+from .so3 import _COL, _ROW, _arr3, _checked_log, _hat, _mat3, _skew, _vee, log_so3
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,6 @@ class ControllerConfig:
             raise ValueError("need 0 < mu_star <= delta_star <= pi")
 
 
-def _error(r_d, r):
-    """(r_e, tau_e, mu, ok) of attitudes r (..., 3, 3) against one r_d."""
-    r_e = r_d.T @ r
-    tau_e, mu, ok = _log(r_e)
-    return r_e, tau_e, mu, ok
-
-
 def _feedforward(r_e, tau_e, w_known, k_w):
     """Body rates -k_w tau_e + R_e^T w_known; the second term is the
     adjoint transport of the known reference rate into the body frame."""
@@ -99,36 +92,16 @@ def attitude_error(r_d, r) -> AttitudeError:
     Raises NearPiSingularity when the relative rotation sits at the
     antipode, which admissible initial conditions exclude.
     """
-    r_e, tau_e, mu, ok = _error(_mat3(r_d), _mat3(r))
-    if not ok:
-        raise NearPiSingularity()
+    r_e = _mat3(r_d).T @ _mat3(r)
+    tau_e, mu = _checked_log(r_e)
     return AttitudeError(r_e=r_e, mu=float(mu), tau_e=tau_e)
 
 
-def error_rate(omega, omega_d, r_e) -> np.ndarray:
-    """Body rate of the error matrix: Omega - Ad_{R_e^T}(Omega_d).
-
-    Nothing in the simulator calls it: it states the error dynamics, and
-    with `control_full_ff` substituted for Omega it closes to exactly
-    -k_w log(R_e), the law behind the exp(-k_w t) decay of mu that
-    acceptance criterion C2 checks in the closed loop
-    (`test_control_closes_loop_to_pure_decay` pins the closure).
-    """
-    omega, omega_d, r_e = _mat3(omega), _mat3(omega_d), _mat3(r_e)
-    return omega - _adjoint(r_e.T, omega_d)
-
-
-def control_full_ff(r_e, omega_d, k_w: float) -> np.ndarray:
-    """Tracking law -k_w log(R_e) + Ad_{R_e^T}(Omega_d), as a skew matrix.
-
-    Substituted into `error_rate` this gives exactly -k_w log(R_e), hence
-    mu decays as exp(-k_w t) for any reference with known rate.
-    """
-    return control_known_ff(r_e, DesiredAttitudeRate(known=omega_d), k_w)
-
-
 def control_known_ff(r_e, rate: DesiredAttitudeRate, k_w: float) -> np.ndarray:
-    """Same law fed only the known component of the reference rate."""
+    """Tracking law -k_w log(R_e) + Ad_{R_e^T}(W) as a skew matrix, W
+    being `rate.known`. Fed the whole reference rate (full feed-forward),
+    it closes the error rate Omega - Ad_{R_e^T}(Omega_d) to exactly
+    -k_w log(R_e), so mu decays as exp(-k_w t)."""
     if not k_w > 0:
         raise ValueError("k_w must be positive")
     r_e = _mat3(r_e)

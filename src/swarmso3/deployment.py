@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDeployment, DegenerateDirection
-from .so3 import _arr3
 
 BLOCK_BYTES = 1 << 20  # bytes of one pair-scan block in the passes over a whole log
 WEYL_TOL = 1e-9  # a `weyl_floor_violation` up to this is roundoff, not a breach
@@ -121,19 +120,11 @@ def ascending_direction(sigma_samples, stats: DeploymentStats) -> np.ndarray:
     return _ascending(sigma, stats.x, stats.radius)
 
 
-def heading_field(ell) -> np.ndarray:
-    """Normalize the ascending-direction estimate onto the unit sphere.
-
-    Raises DegenerateDirection when ||L|| <= 1e-9 (e.g. exactly at the
-    source). The simulator's threshold is 1e-9 * (1 + max |sigma|), and it
-    applies a hold-previous policy on the error.
-    """
-    return _heading(_arr3(ell), 1e-9)
-
-
 def _heading(ell, eps_norm):
-    """`heading_field` of a float (3,) array, unchecked; sqrt(ell @ ell)
-    is how np.linalg.norm forms the norm of one vector."""
+    """ell / ||ell|| of a float (3,) array ell, unchecked; DegenerateDirection
+    when ||ell|| <= eps_norm (e.g. at the source), which `_retarget` sets to
+    1e-9 * (1 + max |sigma|). sqrt(ell @ ell) is how np.linalg.norm forms
+    the norm of one vector."""
     n = np.sqrt(ell @ ell)
     if n <= eps_norm:
         raise DegenerateDirection("ascending-direction estimate vanishes")

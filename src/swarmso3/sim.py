@@ -18,13 +18,13 @@ which the public per-step API (`reference_body_rates`, `advance_desired`,
 `step_agent`) calls too: `_retarget` (the turn), `_rates` (the known
 body rate and the designed spin as a rotation vector; once per run in
 the body frame, at each step in the literal frame, whose rates turn with
-r_d), `_error`, `_feedforward` and `_move` (the pose step, given the
-half-step exponential). In both frames the spin vector is one more row
-of the agents' half-step rotation vectors, so one `_exp` a step gives
-both; a row of a stack has the bits of its own `_exp`. An overflow ends
-in ValueError: the loop silences its overflow and invalid-value
-warnings, and the finite checks after it name the state that stopped
-being finite.
+r_d), `_feedforward` and `_move` (the pose step, given the half-step
+exponential); the attitude error is R_d^T R with its `_log`. In both
+frames the spin vector is one more row of the agents' half-step
+rotation vectors, so one `_exp` a step gives both; a row of a stack has
+the bits of its own `_exp`. An overflow ends in ValueError: the loop
+silences its overflow and invalid-value warnings, and the finite checks
+after it name the state that stopped being finite.
 
 The loop computes only what the control law reads back, and records p,
 r, r_d, mu, hold and the heading before the step's turn. The log-only
@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attitude import ControllerConfig, _alignment, _error, _feedforward
+from .attitude import ControllerConfig, _alignment, _feedforward
 from .deployment import (
     BLOCK_BYTES,
     _ascending,
@@ -539,7 +539,8 @@ def run(config: SimConfig) -> SimLog:
             if seeking:
                 pres[k] = r_d[:, 0]
                 r_d, target, holds[k] = _retarget(r_d, target, p, config.field)
-            r_e, tau_e, mu, ok = _error(r_d, r)
+            r_e = r_d.T @ r
+            tau_e, mu, ok = _log(r_e)
             ps[k], rs[k], r_ds[k], mus[k] = p, r, r_d, mu
             if k == m - 1 or not ok.all():
                 break

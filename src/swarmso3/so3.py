@@ -9,8 +9,9 @@ Batch axis: the private array functions (`_hat`, `_vee`, `_exp`, `_log`,
 (..., 3) and matrices as (..., 3, 3); the simulator calls them on (N, 3)
 and (N, 3, 3) stacks, one row per agent. Each public function is the
 single-rotation case (empty batch shape) of one of them, with shape
-checks and typed errors added; `is_rotation` and `project_to_so3` take
-stacks too, and share the one drift measure ||R^T R - I||_F, `_drift`.
+checks and typed errors added; the pi check of every public log is
+`_checked_log`. `is_rotation` and `project_to_so3` take stacks too, and
+share the one drift measure ||R^T R - I||_F, `_drift`.
 The closed forms and their small-angle series follow Sola et al., "A
 micro Lie theory for state estimation in robotics", arXiv:1812.01537.
 """
@@ -150,6 +151,14 @@ def _log(r):
     return f[..., None] * w, theta, ok
 
 
+def _checked_log(r):
+    """(tau, theta) of one rotation by `_log`; NearPiSingularity where it is not ok."""
+    tau, theta, ok = _log(r)
+    if not ok:
+        raise NearPiSingularity()
+    return tau, theta
+
+
 def _adjoint(r, s):
     return r @ s @ np.swapaxes(r, -1, -2)
 
@@ -166,16 +175,19 @@ def hat(v) -> np.ndarray:
 
 
 def _skew(s) -> np.ndarray:
-    """s as a float 3x3 array; ValueError unless its symmetric part is
-    within 1e-9. The check of `vee` and of every skew-rate input."""
+    """s as a float 3x3 array; ValueError unless it is finite and its
+    symmetric part is within 1e-9 * max(1, max |s|), a bound that grows
+    with the matrix so that the roundoff of a rotated one passes. The
+    check of `vee` and of every skew-rate input."""
     s = _mat3(s)
-    if np.max(np.abs(s + s.T)) > 1e-9:
+    tol = 1e-9 * max(1.0, np.max(np.abs(s)))
+    if not (np.isfinite(s).all() and np.max(np.abs(s + s.T)) <= tol):
         raise ValueError("matrix is not skew-symmetric within tolerance")
     return s
 
 
 def vee(s) -> np.ndarray:
-    """Inverse of hat. Rejects inputs whose symmetric part exceeds 1e-9."""
+    """Inverse of hat. Rejects inputs that `_skew` does."""
     return _vee(_skew(s))
 
 
@@ -190,19 +202,13 @@ def log_so3(r) -> np.ndarray:
     Raises NearPiSingularity when tr(R) <= -1 + 1e-6, where the principal
     log is undefined.
     """
-    tau, _, ok = _log(_mat3(r))
-    if not ok:
-        raise NearPiSingularity()
-    return tau
+    return _checked_log(_mat3(r))[0]
 
 
 def dist_geodesic(r1, r2) -> float:
     """Rotation angle between r1 and r2 (the natural SO(3) metric); raises
     NearPiSingularity where `log_so3(r1^T r2)` does."""
-    _, _, theta, ok = _angle(_mat3(r1).T @ _mat3(r2))
-    if not ok:
-        raise NearPiSingularity()
-    return float(theta)
+    return float(_checked_log(_mat3(r1).T @ _mat3(r2))[1])
 
 
 def dist_log(r1, r2) -> float:

@@ -11,10 +11,9 @@ from swarmso3 import (
     NearPiSingularity,
     PlacementSpec,
     SimConfig,
+    adjoint_rotate,
     attitude_error,
-    control_full_ff,
     control_known_ff,
-    error_rate,
     exp_so3,
     gain_for_bounded_rate,
     hat,
@@ -65,49 +64,22 @@ def test_attitude_error_raises_at_antipode():
         attitude_error(np.eye(3), np.diag([1.0, -1.0, -1.0]))
 
 
-def test_error_rate_reductions():
-    w = hat(RNG.normal(size=3))
-    w_d = hat(RNG.normal(size=3))
-    r_e = random_rotation(RNG)
-    assert np.array_equal(error_rate(w, np.zeros((3, 3)), r_e), w)
-    assert np.allclose(error_rate(w, w_d, np.eye(3)), w - w_d, atol=1e-15)
-
-
-def test_error_rate_vector_form():
-    for _ in range(100):
-        w, w_d = RNG.normal(size=3), RNG.normal(size=3)
-        r_e = random_rotation(RNG)
-        out = vee(error_rate(hat(w), hat(w_d), r_e))
-        assert np.allclose(out, w - r_e.T @ w_d, atol=1e-12)
-
-
-def test_control_full_ff_is_pure_feedforward_at_equilibrium():
-    w_d = hat(RNG.normal(size=3))
-    assert np.allclose(control_full_ff(np.eye(3), w_d, 2.0), w_d, atol=1e-15)
-
-
-def test_control_full_ff_proportional_term():
-    out = control_full_ff(exp_so3([0, 0, 0.4]), np.zeros((3, 3)), 2.0)
+def test_control_known_ff_proportional_term():
+    rate = DesiredAttitudeRate(known=np.zeros((3, 3)))
+    out = control_known_ff(exp_so3([0, 0, 0.4]), rate, 2.0)
     assert np.allclose(vee(out), [0, 0, -0.8], atol=1e-12)
 
 
 def test_control_closes_loop_to_pure_decay():
-    # plugging the law into the error dynamics cancels the feed-forward
+    # with the whole reference rate known, the error rate
+    # Omega - Ad_{R_e^T}(Omega_d) cancels the feed-forward
     for _ in range(50):
         r_e = random_rotation(RNG)
         w_d = hat(RNG.normal(size=3))
         k_w = RNG.uniform(0.1, 5.0)
-        omega = control_full_ff(r_e, w_d, k_w)
-        w_e = error_rate(omega, w_d, r_e)
+        omega = control_known_ff(r_e, DesiredAttitudeRate(known=w_d), k_w)
+        w_e = omega - adjoint_rotate(r_e.T, w_d)
         assert np.allclose(w_e, -k_w * hat(log_so3(r_e)), atol=1e-13)
-
-
-def test_control_known_ff_degenerate_decomposition_is_bitwise():
-    r_e = random_rotation(RNG)
-    w_d = hat(RNG.normal(size=3))
-    full = control_full_ff(r_e, w_d, 1.7)
-    known_only = control_known_ff(r_e, DesiredAttitudeRate(known=w_d), 1.7)
-    assert np.array_equal(full, known_only)
 
 
 def test_control_known_ff_identity_error():

@@ -11,7 +11,6 @@ from swarmso3 import (
     deployment_stats,
     epsilon_max,
     gain_for_nondegeneracy,
-    heading_field,
     pairwise_displacement_bound,
     plan_gains,
 )
@@ -111,15 +110,6 @@ def test_ascending_direction_rejects_collocated():
     st = deployment_stats(np.zeros((3, 3)))
     with pytest.raises(DegenerateDirection):
         ascending_direction(np.ones(3), st)
-
-
-def test_heading_field():
-    assert np.allclose(heading_field([0.5, 0, 0]), [1, 0, 0])
-    assert np.allclose(heading_field([3.0, 4.0, 0.0]), [0.6, 0.8, 0.0])
-    ell = RNG.normal(size=3)
-    assert np.allclose(heading_field(ell), heading_field(37.5 * ell), atol=1e-15)
-    with pytest.raises(DegenerateDirection):
-        heading_field([0.0, 0.0, 0.0])
 
 
 def test_pairwise_displacement_bound_values():

@@ -1,5 +1,6 @@
 """Each typed error of the public API that no other test reaches, plus
-the skew check of the two skew-rate inputs, as one table."""
+the skew check of `vee` and the two skew-rate inputs, as one table; and
+the large skew matrices that check accepts."""
 
 import numpy as np
 import pytest
@@ -19,12 +20,18 @@ from swarmso3 import (
     exp_so3,
     gain_for_bounded_rate,
     gain_for_nondegeneracy,
+    hat,
     project_to_so3,
     step_agent,
+    vee,
 )
 from swarmso3.scenario import parse_scenario
 
 ZERO_RATE = np.zeros((3, 3))
+NAN_RATE = np.diag([np.nan, 0.0, 0.0])
+# its symmetric part, inf, is within the tolerance 1e-9 * max |s| = inf:
+# only the finiteness test rejects it
+INF_RATE = np.diag([np.inf, 0.0, 0.0])
 
 
 def _stats():
@@ -41,6 +48,9 @@ def _agent():
         (lambda: DesiredAttitudeRate(known=ZERO_RATE, unknown_bound=-1.0),
          ValueError, "unknown_bound must be finite"),
         (lambda: DesiredAttitudeRate(known=np.ones((3, 3))), ValueError, "not skew-symmetric"),
+        (lambda: DesiredAttitudeRate(known=NAN_RATE), ValueError, "not skew-symmetric"),
+        (lambda: vee(NAN_RATE), ValueError, "not skew-symmetric"),
+        (lambda: vee(INF_RATE), ValueError, "not skew-symmetric"),
         (lambda: control_known_ff(np.eye(3), DesiredAttitudeRate(known=ZERO_RATE), 0.0),
          ValueError, "k_w must be positive"),
         (lambda: control_known_ff(exp_so3([np.pi, 0, 0]), DesiredAttitudeRate(known=ZERO_RATE), 1.0),
@@ -62,7 +72,8 @@ def _agent():
         (lambda: dist_geodesic(np.eye(3), exp_so3([0, np.pi, 0])), NearPiSingularity, "pi singularity"),
     ],
     ids=[
-        "rate-negative-unknown-bound", "rate-known-not-skew", "control-known-ff-k_w",
+        "rate-negative-unknown-bound", "rate-known-not-skew", "rate-known-nan", "vee-nan",
+        "vee-inf", "control-known-ff-k_w",
         "control-known-ff-near-pi", "gain-negative-omega-max", "ascending-sample-count",
         "nondegeneracy-negative-speed", "scenario-invalid-yaml", "robot-state-not-rotation",
         "explicit-attitudes-shape", "step-agent-dt", "step-agent-rate-not-skew",
@@ -73,3 +84,15 @@ def _agent():
 def test_typed_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("norm", [1e4, 1e8, 1e10, 1e12])
+def test_rotated_skew_matrix_passes_at_large_norm(norm):
+    # R hat(w) R^T is hat(R w) up to a symmetric roundoff of order
+    # eps * norm, 1.3e-8 at norm 1e8, which the relative tolerance accepts
+    r = exp_so3([0.3, -1.1, 0.7])
+    w = norm * np.array([2.0, -1.0, 2.0]) / 3.0
+    s = r @ hat(w) @ r.T
+    assert np.allclose(vee(s), r @ w, rtol=0.0, atol=1e-12 * norm)
+    assert np.array_equal(DesiredAttitudeRate(known=s).known, s)
+    assert np.isfinite(step_agent(_agent(), s, 1.0, 0.01).p).all()

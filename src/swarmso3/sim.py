@@ -330,19 +330,30 @@ def _move(p, r, e_half, s, dt):
     return p + dt * s * r_half[..., :, 0], r_half @ e_half
 
 
+def _sq(a, b):
+    """Squared lengths of a - b from coordinate planes (3, ...) as (dx^2 +
+    dy^2) + dz^2, numpy's order for a (..., 3) last axis, with its bits."""
+    acc, d = a[0] - b[0], a[1] - b[1]
+    acc *= acc
+    acc += np.square(d, out=d)
+    np.subtract(a[2], b[2], out=d)
+    acc += np.square(d, out=d)
+    return acc
+
+
 def _scan(u, block_bytes=BLOCK_BYTES):
     """max_{i<j} ||u_i - u_j|| over all pairs of rows of u (..., N, 3),
     one value per leading index, in row blocks of block_bytes, so the
     extra memory is O(N) per leading index rather than O(N^2). The one
     pair kernel: `_diameter` calls it on the rows that can hold the
-    longest pair."""
-    n, lead = u.shape[-2], u.shape[:-2]
-    rows = max(1, block_bytes // (24 * n * int(np.prod(lead))))
+    longest pair. `_sq` forms a block's pairs from coordinate planes (3,
+    ..., N), 16 bytes a pair, since numpy reduces a short last axis slowly."""
+    n, lead, c = u.shape[-2], u.shape[:-2], np.moveaxis(u, -1, 0).copy()
+    rows = max(1, block_bytes // (16 * n * int(np.prod(lead))))
     worst = np.zeros(lead)
     for i in range(0, n - 1, rows):
-        d = u[..., i : i + rows, None, :] - u[..., None, i:, :]
-        d *= d
-        worst = np.maximum(worst, d.sum(axis=-1).max(axis=(-2, -1)))
+        block = _sq(c[..., i : i + rows, None], c[..., None, i:]).max(axis=(-2, -1))
+        worst = np.maximum(worst, block)
     return np.sqrt(worst)
 
 
@@ -363,22 +374,21 @@ def _diameter(u, block_bytes=BLOCK_BYTES):
     largest r, K the largest candidate count, are scanned as one
     (..., K, 3) stack. Every pair scanned is a real pair formed as
     `_scan` forms it, and x - y = -(y - x) exactly, so the result has
-    the bits of the full scan.
+    the bits of the full scan; at K = N, u is scanned as given, so even an
+    inf row's self-pair is `_scan`'s. r and L come from planes by `_sq`.
     """
-    n = u.shape[-2]
-    x = u - u.mean(axis=-2, keepdims=True)
-    x *= x
-    r = np.sqrt(x.sum(axis=-1))
-    far = np.take_along_axis(u, r.argmax(axis=-1)[..., None, None], axis=-2)
-    d = u - far
-    d *= d
-    big, reach = np.sqrt(d.sum(axis=-1).max(axis=-1)), r.max(axis=-1)
+    n, c = u.shape[-2], np.moveaxis(u, -1, 0).copy()
+    r = np.sqrt(_sq(c, np.moveaxis(u.mean(axis=-2, keepdims=True), -1, 0)))
+    far = np.take_along_axis(c, r.argmax(axis=-1)[None, ..., None], axis=-1)
+    big, reach = np.sqrt(_sq(c, far).max(axis=-1)), r.max(axis=-1)
     thr = big - reach - 1e-12 * (big + reach)
     count = (r >= thr[..., None]).sum(axis=-1)
     count = np.where(reach == 0.0, 1, np.where(np.isfinite(thr), count, n))
     k = max(int(count.max(initial=0)), min(2, n))
-    top = np.argpartition(r, n - k, axis=-1)[..., n - k :]
-    return _scan(np.take_along_axis(u, top[..., None], axis=-2), block_bytes)
+    if k < n:
+        top = np.argpartition(r, n - k, axis=-1)[..., n - k :]
+        u = np.take_along_axis(u, top[..., None], axis=-2)
+    return _scan(u, block_bytes)
 
 
 def step_agent(state: RobotState, omega, s: float, dt: float) -> RobotState:
@@ -430,7 +440,10 @@ def advance_desired(
 
 
 def _initial_conditions(config: SimConfig):
-    """Seeded initial poses; the RNG is used here and nowhere else."""
+    """Seeded initial poses; the RNG is used here and nowhere else. Ball
+    attitudes draw per agent an axis (`standard_normal`) and a radius
+    fraction (`random`): the bits of numpy's normal(size=3), 0 + 1*z, and
+    uniform(0, radius), 0 + radius*u, bar a z of -0.0 (2^-52 a draw)."""
     rng = np.random.default_rng(config.seed)
     n = config.n_agents
     if config.placement.kind == "explicit":
@@ -446,13 +459,13 @@ def _initial_conditions(config: SimConfig):
     elif config.attitudes.kind == "explicit":
         r = config.attitudes.matrices.copy()
     else:
-        # per-agent draws keep the RNG sequence; for the norm see `_derived`
-        axes, angles = np.empty((n, 3)), np.empty((n, 1))
+        # for the norm see `_derived`
+        axes, frac = np.empty((n, 3)), np.empty((n, 1))
         for i in range(n):
-            axes[i] = rng.normal(size=3)
-            angles[i] = rng.uniform(0.0, config.attitudes.radius)
+            rng.standard_normal(out=axes[i])
+            frac[i] = rng.random()
         axes /= np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
-        r = r0 @ _exp(axes * angles)
+        r = r0 @ _exp(axes * (config.attitudes.radius * frac))
     return np.ascontiguousarray(p), np.ascontiguousarray(r)
 
 

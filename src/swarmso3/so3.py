@@ -9,9 +9,9 @@ Batch axis: the private array functions (`_hat`, `_vee`, `_exp`, `_log`,
 (..., 3) and matrices as (..., 3, 3); the simulator calls them on (N, 3)
 and (N, 3, 3) stacks, one row per agent. Each public function is the
 single-rotation case (empty batch shape) of one of them, with shape
-checks and typed errors added; the pi check of every public log is
-`_checked_log`. `is_rotation` and `project_to_so3` take stacks too, and
-share the one drift measure ||R^T R - I||_F, `_drift`.
+checks and typed errors added; `_checked_log` checks every public log
+for a finite input and the pi singularity. `is_rotation` and
+`project_to_so3` take stacks too and share one drift measure, `_drift`.
 The closed forms and their small-angle series follow Sola et al., "A
 micro Lie theory for state estimation in robotics", arXiv:1812.01537.
 """
@@ -152,7 +152,9 @@ def _log(r):
 
 
 def _checked_log(r):
-    """(tau, theta) of one rotation by `_log`; NearPiSingularity where it is not ok."""
+    """(tau, theta) of one finite rotation by `_log`; NearPiSingularity where not ok."""
+    if not np.isfinite(r).all():
+        raise ValueError("rotation matrix must be finite")
     tau, theta, ok = _log(r)
     if not ok:
         raise NearPiSingularity()
@@ -170,8 +172,8 @@ def _drift(m):
 
 
 def hat(v) -> np.ndarray:
-    """Skew matrix of v, satisfying hat(v) @ u = cross(v, u)."""
-    return _hat(_arr3(v))
+    """Skew matrix of a finite v, satisfying hat(v) @ u = cross(v, u)."""
+    return _hat(_finite3(v, "v"))
 
 
 def _skew(s) -> np.ndarray:
@@ -192,15 +194,15 @@ def vee(s) -> np.ndarray:
 
 
 def exp_so3(tau) -> np.ndarray:
-    """Exponential map (Rodrigues' formula) from a rotation vector."""
-    return _exp(_arr3(tau))
+    """Exponential map (Rodrigues' formula) from a finite rotation vector."""
+    return _exp(_finite3(tau, "tau"))
 
 
 def log_so3(r) -> np.ndarray:
     """Principal logarithm as a rotation vector with angle in [0, pi).
 
-    Raises NearPiSingularity when tr(R) <= -1 + 1e-6, where the principal
-    log is undefined.
+    Raises ValueError for a non-finite R, and NearPiSingularity when
+    tr(R) <= -1 + 1e-6, where the principal log is undefined.
     """
     return _checked_log(_mat3(r))[0]
 

@@ -30,7 +30,7 @@ from swarmso3 import (
     step_agent,
 )
 from swarmso3 import so3, validate
-from swarmso3.deployment import deployment_stats, weyl_floor_violation
+from swarmso3.deployment import BLOCK_BYTES, deployment_stats, weyl_floor_violation
 from swarmso3.reporting import summarize, write_step_table
 from swarmso3.scenario import parse_scenario, scenario_to_config
 from swarmso3 import sim
@@ -524,6 +524,17 @@ def test_pair_displacement_is_diameter_of_offsets(block_bytes):
         assert np.array_equal(_diameter(p[..., :1, :] - p0[:1], block_bytes), np.zeros(lead))
 
 
+def _pairs_by_rows(u):
+    """max_{i<j} ||u_i - u_j|| of u (..., N, 3) one row at a time, each
+    length summed over a (..., 3) last axis: the form `_scan`'s
+    coordinate planes must reproduce bit for bit."""
+    worst = np.zeros(u.shape[:-2])
+    for i in range(u.shape[-2] - 1):
+        d = u[..., i, None, :] - u[..., i + 1 :, :]
+        worst = np.maximum(worst, (d * d).sum(axis=-1).max(axis=-1))
+    return np.sqrt(worst)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 300),
@@ -531,15 +542,17 @@ def test_pair_displacement_is_diameter_of_offsets(block_bytes):
     shape=st.sampled_from(["normal", "sphere", "duplicates", "collinear", "anisotropic"]),
     exponent=st.integers(-100, 100),
     flat=st.booleans(),
+    nan=st.booleans(),
     block_bytes=st.sampled_from([1 << 20, 24 * 7]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pruned_diameter_is_bitwise_the_full_scan(
-    n, lead, shape, exponent, flat, block_bytes, seed
+    n, lead, shape, exponent, flat, nan, block_bytes, seed
 ):
     # on a sphere every row is a candidate; duplicated and collinear rows
     # tie; `flat` makes the first step (or the only one) all one row, a
-    # zero-spread step stacked with the others
+    # zero-spread step stacked with the others; `nan` puts a nan in the
+    # last step. The full scan itself is pinned to the row-by-row form.
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(*lead, n, 3))
     if shape == "sphere":
@@ -554,22 +567,50 @@ def test_pruned_diameter_is_bitwise_the_full_scan(
     first = (0,) * len(lead)
     if flat:
         u[first] = u[first][0]
+    if nan:
+        u[(-1,) * len(lead) + (rng.integers(n), rng.integers(3))] = np.nan
     got = _diameter(u, block_bytes)
-    assert np.array_equal(got, _scan(u, block_bytes))
-    if flat:
+    assert np.array_equal(got, _scan(u, block_bytes), equal_nan=True)
+    assert np.array_equal(got, _pairs_by_rows(u), equal_nan=True)
+    if flat and not (nan and first == tuple(d - 1 for d in lead)):
         assert got[first] == 0.0
 
 
 def test_pruned_diameter_keeps_every_row_when_the_bounds_overflow():
-    # coordinates near 1e154 overflow r and L, and a nan makes them nan;
-    # such a step scans all rows
+    # coordinates near 1e154 overflow r and L, and a nan or an inf makes
+    # them nan; such a step scans all rows, in their given order: with
+    # small blocks, an inf row's self-pair (inf - inf = nan) is formed
+    # unless it is the last row, so the order decides between nan and inf
     rng = np.random.default_rng(8)
     u = rng.normal(size=(3, 40, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         for scale in (1e154, 1e200, 1e308):
             assert np.array_equal(_diameter(u * scale), _scan(u * scale), equal_nan=True)
+        for block_bytes in (1 << 20, 24 * 7):
+            for row in range(3):
+                v = np.zeros((3, 3))
+                v[:, 0] = np.roll([0.0, 1.0, np.inf], row)
+                assert np.array_equal(_diameter(v, block_bytes), _scan(v, block_bytes), equal_nan=True)
+                w = u.copy()
+                w[1, 13 * row] = np.inf
+                assert np.array_equal(_diameter(w, block_bytes), _scan(w, block_bytes), equal_nan=True)
         u[1, 7, 2] = np.nan
         assert np.array_equal(_diameter(u), _scan(u), equal_nan=True)
+
+
+def test_scan_memory_is_one_block_beyond_the_rows():
+    # 2 000 rows: the block's two (rows, N) coordinate planes fit
+    # BLOCK_BYTES; the planes' copy of u is O(N), and numpy's ufunc
+    # buffers (two of getbufsize() doubles) are a constant
+    u = RNG.normal(size=(2000, 3))
+    tracemalloc.start()
+    try:
+        got = _scan(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == _pairs_by_rows(u)
+    assert peak <= BLOCK_BYTES + 32 * len(u) + 16 * np.getbufsize()
 
 
 def test_max_pair_disp_at_n3000_is_the_full_scan():
@@ -780,7 +821,7 @@ def _ball_attitudes_per_agent(config):
     return r
 
 
-@pytest.mark.parametrize("n", [1, 7, 400])
+@pytest.mark.parametrize("n", [1, 2, 7, 400])
 def test_ball_attitudes_are_bitwise_a_per_agent_loop(n):
     # initial conditions do not depend on the mode; prescribed also admits n = 1
     trajectory = DesiredAttitudeTrajectory(

@@ -1,6 +1,7 @@
 """Each typed error of the public API that no other test reaches, plus
-the skew check of `vee` and the two skew-rate inputs, as one table; and
-the large skew matrices that check accepts."""
+the skew check of `vee` and the two skew-rate inputs and the finiteness
+checks of `hat`, `exp_so3` and the checked log, as one table; and the
+large skew matrices the skew check accepts."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from swarmso3 import (
     ScenarioError,
     advance_desired,
     ascending_direction,
+    attitude_error,
     control_known_ff,
     deployment_stats,
     dist_geodesic,
@@ -21,6 +23,7 @@ from swarmso3 import (
     gain_for_bounded_rate,
     gain_for_nondegeneracy,
     hat,
+    log_so3,
     project_to_so3,
     step_agent,
     vee,
@@ -32,6 +35,7 @@ NAN_RATE = np.diag([np.nan, 0.0, 0.0])
 # its symmetric part, inf, is within the tolerance 1e-9 * max |s| = inf:
 # only the finiteness test rejects it
 INF_RATE = np.diag([np.inf, 0.0, 0.0])
+NAN_ROTATION = np.full((3, 3), np.nan)
 
 
 def _stats():
@@ -70,6 +74,14 @@ def _agent():
          ValueError, "needs positions and a field"),
         (lambda: project_to_so3(np.eye(2)), ValueError, r"expected shape \(\.\.\., 3, 3\)"),
         (lambda: dist_geodesic(np.eye(3), exp_so3([0, np.pi, 0])), NearPiSingularity, "pi singularity"),
+        (lambda: hat([np.inf, 0, 0]), ValueError, "v must be finite"),
+        (lambda: hat([np.nan, 0, 0]), ValueError, "v must be finite"),
+        (lambda: exp_so3([np.inf, 0, 0]), ValueError, "tau must be finite"),
+        (lambda: exp_so3([np.nan, 0, 0]), ValueError, "tau must be finite"),
+        (lambda: log_so3(NAN_ROTATION), ValueError, "rotation matrix must be finite"),
+        (lambda: log_so3(np.diag([np.inf, 1.0, 1.0])), ValueError, "rotation matrix must be finite"),
+        (lambda: dist_geodesic(np.eye(3), NAN_ROTATION), ValueError, "rotation matrix must be finite"),
+        (lambda: attitude_error(np.eye(3), NAN_ROTATION), ValueError, "rotation matrix must be finite"),
     ],
     ids=[
         "rate-negative-unknown-bound", "rate-known-not-skew", "rate-known-nan", "vee-nan",
@@ -78,7 +90,8 @@ def _agent():
         "nondegeneracy-negative-speed", "scenario-invalid-yaml", "robot-state-not-rotation",
         "explicit-attitudes-shape", "step-agent-dt", "step-agent-rate-not-skew",
         "advance-desired-dt", "advance-desired-seeking-inputs", "project-shape",
-        "dist-geodesic-near-pi",
+        "dist-geodesic-near-pi", "hat-inf", "hat-nan", "exp-so3-inf", "exp-so3-nan",
+        "log-so3-nan", "log-so3-inf", "dist-geodesic-nan", "attitude-error-nan",
     ],
 )
 def test_typed_error(call, error, match):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import _COL, _ROW, _arr3, _checked_log, _hat, _mat3, _skew, _vee, log_so3
+from .so3 import _COL, _ROW, _arr3, _checked_log, _hat, _mat3, _relative, _skew, _vee, log_so3
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def attitude_error(r_d, r) -> AttitudeError:
     Raises NearPiSingularity when the relative rotation sits at the
     antipode, which admissible initial conditions exclude.
     """
-    r_e = _mat3(r_d).T @ _mat3(r)
+    r_e = _relative(r_d, r)
     tau_e, mu = _checked_log(r_e)
     return AttitudeError(r_e=r_e, mu=float(mu), tau_e=tau_e)
 

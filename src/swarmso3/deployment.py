@@ -12,15 +12,16 @@ import numpy as np
 from .errors import DegenerateDeployment, DegenerateDirection
 
 BLOCK_BYTES = 1 << 20  # bytes of one pair-scan block in the passes over a whole log
+PAIR_BYTES = 16  # bytes a pair takes in the scan: two float64 planes, see sim._sq
 WEYL_TOL = 1e-9  # a `weyl_floor_violation` up to this is roundoff, not a breach
 
 
 def _block_steps(n):
     """Steps per block of a pass over an N-agent log: as many as one
     N x N pair scan fits in BLOCK_BYTES, so the block's (steps, N, 3)
-    temporaries take at most BLOCK_BYTES / N bytes and the extra memory
-    of the pass is O(N) beyond the log."""
-    return max(1, BLOCK_BYTES // (24 * n * n))
+    temporaries take at most 1.5 BLOCK_BYTES / N bytes and the extra
+    memory of the pass is O(N) beyond the log."""
+    return max(1, BLOCK_BYTES // (PAIR_BYTES * n * n))
 
 
 @dataclass(frozen=True)

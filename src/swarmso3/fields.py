@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import _apply_kinds, _arr3, _finite3, _take
+from .so3 import _apply_kinds, _arr3, _finite, _take
 
 
 def _spd_matrix(value, name: str, power: int) -> np.ndarray:
@@ -20,9 +20,7 @@ def _spd_matrix(value, name: str, power: int) -> np.ndarray:
     on the diagonal), or a full 3x3 matrix (symmetrized, taken as is);
     the result must be positive definite. Widths take power 2,
     curvatures power 1."""
-    v = np.asarray(value, dtype=np.float64)
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
+    v = _finite(np.asarray(value, dtype=np.float64), name)
     if v.ndim == 0:
         m = np.eye(3) * float(v) ** power
     elif v.shape == (3,):
@@ -70,7 +68,7 @@ class FieldSpec:
 
     def __post_init__(self):
         _apply_kinds(self, "field")
-        src = _finite3(self.source, "source")
+        src = _finite(_arr3(self.source), "source")
         object.__setattr__(self, "source", src)
         if self.amplitude is not None and not np.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
@@ -97,7 +95,7 @@ class FieldSpec:
             terms = []
             for i, comp in enumerate(components):
                 comp = _take(comp, self.COMPONENT, f"field component {i}")
-                c_src = _finite3(comp["source"], "component source")
+                c_src = _finite(_arr3(comp["source"]), "component source")
                 c_amp = float(comp["amplitude"])
                 if not 0 < c_amp < np.inf:
                     raise ValueError("component amplitudes must be positive and finite")

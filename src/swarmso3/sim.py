@@ -55,18 +55,12 @@ import numpy as np
 
 from .attitude import ControllerConfig, _alignment, _feedforward
 from .deployment import (
-    BLOCK_BYTES,
-    _ascending,
-    _barycentric,
-    _block_steps,
-    _heading,
-    _positions,
-    _spread,
+    BLOCK_BYTES, PAIR_BYTES, _ascending, _barycentric, _block_steps, _heading, _positions, _spread
 )
 from .errors import DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
 from .so3 import (
-    _I3, _apply_kinds, _arr3, _exp, _finite3, _hat, _log, _mat3, is_rotation, project_to_so3, vee
+    _I3, _apply_kinds, _arr3, _exp, _finite, _hat, _log, _mat3, is_rotation, project_to_so3, vee
 )
 
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
@@ -122,7 +116,7 @@ class DesiredAttitudeTrajectory:
         object.__setattr__(self, "r_d", r)
         object.__setattr__(self, "target", r[:, 0].copy())
         for name in ("omega_known", "omega_unknown"):
-            object.__setattr__(self, name, _finite3(getattr(self, name), name))
+            object.__setattr__(self, name, _finite(_arr3(getattr(self, name)), name))
         if self.mode == "constant" and (self.omega_known.any() or self.omega_unknown.any()):
             raise ValueError("constant mode requires zero omega_known and omega_unknown")
         if not 0 <= self.omega_max_declared < np.inf:
@@ -142,7 +136,7 @@ class PlacementSpec:
 
     def __post_init__(self):
         _apply_kinds(self, "placement")
-        object.__setattr__(self, "center", _finite3(self.center, "placement center"))
+        object.__setattr__(self, "center", _finite(_arr3(self.center), "placement center"))
         if self.kind == "explicit":
             object.__setattr__(self, "positions", _positions(self.positions))
         elif not 0 < self.radius < np.inf:
@@ -347,9 +341,9 @@ def _scan(u, block_bytes=BLOCK_BYTES):
     extra memory is O(N) per leading index rather than O(N^2). The one
     pair kernel: `_diameter` calls it on the rows that can hold the
     longest pair. `_sq` forms a block's pairs from coordinate planes (3,
-    ..., N), 16 bytes a pair, since numpy reduces a short last axis slowly."""
+    ..., N), PAIR_BYTES a pair, since numpy reduces a short last axis slowly."""
     n, lead, c = u.shape[-2], u.shape[:-2], np.moveaxis(u, -1, 0).copy()
-    rows = max(1, block_bytes // (16 * n * int(np.prod(lead))))
+    rows = max(1, block_bytes // (PAIR_BYTES * n * int(np.prod(lead))))
     worst = np.zeros(lead)
     for i in range(0, n - 1, rows):
         block = _sq(c[..., i : i + rows, None], c[..., None, i:]).max(axis=(-2, -1))
@@ -485,9 +479,7 @@ def _derived(config, p, r, r_d, pre):
     non-finite position log or covariance, as `deployment_stats` does for
     one snapshot.
     """
-    if not np.isfinite(p).all():
-        raise ValueError("positions must be finite")
-    m, n = p.shape[:2]
+    m, n = _finite(p, "positions").shape[:2]
     fld, trj = config.field, config.trajectory
     delta, lam, pair = np.empty((m, n)), np.empty(m), np.empty(m)
     sigma_c, dist = np.full(m, np.nan), np.full(m, np.nan)

@@ -9,9 +9,10 @@ Batch axis: the private array functions (`_hat`, `_vee`, `_exp`, `_log`,
 (..., 3) and matrices as (..., 3, 3); the simulator calls them on (N, 3)
 and (N, 3, 3) stacks, one row per agent. Each public function is the
 single-rotation case (empty batch shape) of one of them, with shape
-checks and typed errors added; `_checked_log` checks every public log
-for a finite input and the pi singularity. `is_rotation` and
-`project_to_so3` take stacks too and share one drift measure, `_drift`.
+checks and typed errors added: each public log checks its matrices
+finite before any product with them, and `_checked_log` checks the pi
+singularity. `is_rotation` and `project_to_so3` take stacks too and
+share one drift measure, `_drift`.
 The closed forms and their small-angle series follow Sola et al., "A
 micro Lie theory for state estimation in robotics", arXiv:1812.01537.
 """
@@ -42,8 +43,7 @@ def _arr3(v) -> np.ndarray:
     return out
 
 
-def _finite3(v, name: str) -> np.ndarray:
-    out = _arr3(v)
+def _finite(out: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite")
     return out
@@ -79,6 +79,11 @@ def _mat3(m) -> np.ndarray:
     if out.shape != (3, 3):
         raise ValueError(f"expected shape (3, 3), got {out.shape}")
     return out
+
+
+def _relative(r1, r2) -> np.ndarray:
+    """r1^T r2, both checked finite first, so that no inf enters the product."""
+    return _finite(_mat3(r1), "rotation matrix").T @ _finite(_mat3(r2), "rotation matrix")
 
 
 def _hat(v):
@@ -153,8 +158,6 @@ def _log(r):
 
 def _checked_log(r):
     """(tau, theta) of one finite rotation by `_log`; NearPiSingularity where not ok."""
-    if not np.isfinite(r).all():
-        raise ValueError("rotation matrix must be finite")
     tau, theta, ok = _log(r)
     if not ok:
         raise NearPiSingularity()
@@ -173,7 +176,7 @@ def _drift(m):
 
 def hat(v) -> np.ndarray:
     """Skew matrix of a finite v, satisfying hat(v) @ u = cross(v, u)."""
-    return _hat(_finite3(v, "v"))
+    return _hat(_finite(_arr3(v), "v"))
 
 
 def _skew(s) -> np.ndarray:
@@ -195,7 +198,7 @@ def vee(s) -> np.ndarray:
 
 def exp_so3(tau) -> np.ndarray:
     """Exponential map (Rodrigues' formula) from a finite rotation vector."""
-    return _exp(_finite3(tau, "tau"))
+    return _exp(_finite(_arr3(tau), "tau"))
 
 
 def log_so3(r) -> np.ndarray:
@@ -204,13 +207,13 @@ def log_so3(r) -> np.ndarray:
     Raises ValueError for a non-finite R, and NearPiSingularity when
     tr(R) <= -1 + 1e-6, where the principal log is undefined.
     """
-    return _checked_log(_mat3(r))[0]
+    return _checked_log(_finite(_mat3(r), "rotation matrix"))[0]
 
 
 def dist_geodesic(r1, r2) -> float:
     """Rotation angle between r1 and r2 (the natural SO(3) metric); raises
-    NearPiSingularity where `log_so3(r1^T r2)` does."""
-    return float(_checked_log(_mat3(r1).T @ _mat3(r2))[1])
+    what `log_so3(r1^T r2)` does."""
+    return float(_checked_log(_relative(r1, r2))[1])
 
 
 def dist_log(r1, r2) -> float:
@@ -218,10 +221,10 @@ def dist_log(r1, r2) -> float:
 
     Equals sqrt(2) * dist_geodesic. It is computed through the log, whose
     angle comes from the same `_angle` as dist_geodesic, so comparing the
-    two checks the log's scaling and `_hat`, not the angle. Raises
-    NearPiSingularity where the log is undefined.
+    two checks the log's scaling and `_hat`, not the angle. Raises what
+    `log_so3(r1^T r2)` does.
     """
-    k = _hat(log_so3(_mat3(r1).T @ _mat3(r2)))
+    k = _hat(_checked_log(_relative(r1, r2))[0])
     return float(np.sqrt((k * k).sum()))
 
 

@@ -36,6 +36,8 @@ NAN_RATE = np.diag([np.nan, 0.0, 0.0])
 # only the finiteness test rejects it
 INF_RATE = np.diag([np.inf, 0.0, 0.0])
 NAN_ROTATION = np.full((3, 3), np.nan)
+# 0 * inf in a product r1^T r2 would warn before any check of the product
+INF_ROTATION = np.diag([np.inf, 1.0, 1.0])
 
 
 def _stats():
@@ -79,9 +81,11 @@ def _agent():
         (lambda: exp_so3([np.inf, 0, 0]), ValueError, "tau must be finite"),
         (lambda: exp_so3([np.nan, 0, 0]), ValueError, "tau must be finite"),
         (lambda: log_so3(NAN_ROTATION), ValueError, "rotation matrix must be finite"),
-        (lambda: log_so3(np.diag([np.inf, 1.0, 1.0])), ValueError, "rotation matrix must be finite"),
+        (lambda: log_so3(INF_ROTATION), ValueError, "rotation matrix must be finite"),
         (lambda: dist_geodesic(np.eye(3), NAN_ROTATION), ValueError, "rotation matrix must be finite"),
         (lambda: attitude_error(np.eye(3), NAN_ROTATION), ValueError, "rotation matrix must be finite"),
+        (lambda: dist_geodesic(np.eye(3), INF_ROTATION), ValueError, "rotation matrix must be finite"),
+        (lambda: attitude_error(INF_ROTATION, np.eye(3)), ValueError, "rotation matrix must be finite"),
     ],
     ids=[
         "rate-negative-unknown-bound", "rate-known-not-skew", "rate-known-nan", "vee-nan",
@@ -92,6 +96,7 @@ def _agent():
         "advance-desired-dt", "advance-desired-seeking-inputs", "project-shape",
         "dist-geodesic-near-pi", "hat-inf", "hat-nan", "exp-so3-inf", "exp-so3-nan",
         "log-so3-nan", "log-so3-inf", "dist-geodesic-nan", "attitude-error-nan",
+        "dist-geodesic-inf", "attitude-error-inf",
     ],
 )
 def test_typed_error(call, error, match):

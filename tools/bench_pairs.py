@@ -3,19 +3,19 @@
 Usage:
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \
-        --workload swarm-scale [--workload fig3-cli ...] \
-        [--pairs 10] [--seed 1] [--seconds 36]
+        --workload swarm-scale [--workload fig3-cli ...] [--seed 1]
 
 PARENT and CHANGE are checkout directories, each with its own
-`swarmbench/run.py`. Each pair runs `python3 swarmbench/run.py --workload W
---seed S --seconds T --trace 0` once in each checkout, one after the other,
-the parent first in even pairs and the change first in odd ones, so that
-neither side always runs in the same slot. The final JSON line of every run
-is kept. For each end-to-end metric that CHANGE's BENCHMARK.json declares,
-the summary gives each side's [q1, median, q3] (inclusive quartiles), the
-number of pairs in which the change read better (`change_wins`, ties
-counting for neither side), the number of pairs and the parent's
-interquartile range (`parent_iqr`).
+`swarmbench/run.py`. Each of the PAIRS = 10 pairs runs `python3
+swarmbench/run.py --workload W --seed S --seconds T --trace 0` once in
+each checkout, one after the other, the parent first in even pairs and
+the change first in odd ones, so that neither side always runs in the
+same slot. T is the `run_seconds` that CHANGE's BENCHMARK.json fixes. The
+final JSON line of every run is kept. For each end-to-end metric that
+CHANGE's BENCHMARK.json declares, the summary gives each side's [q1,
+median, q3] (inclusive quartiles), the number of pairs in which the change
+read better (`change_wins`, ties counting for neither side), the number of
+pairs and the parent's interquartile range (`parent_iqr`).
 
 An existing --out file keeps its other entries: a workload at another seed
 is added beside them, and the same workload and seed is replaced. Standard
@@ -32,6 +32,8 @@ import sys
 import time
 from pathlib import Path
 
+PAIRS = 10
+
 
 def run_once(checkout, workload, seed, seconds):
     """The final JSON object printed by one benchmark run in `checkout`."""
@@ -43,8 +45,6 @@ def run_once(checkout, workload, seed, seconds):
 
 def quartiles(values):
     """[q1, median, q3] with inclusive quartiles, rounded to 6 decimals."""
-    if len(values) < 2:
-        return [round(values[0], 6)] * 3
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [round(q1, 6), round(q2, 6), round(q3, 6)]
 
@@ -69,11 +69,10 @@ def main():
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=36.0)
     args = ap.parse_args()
-    declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("about", (
         "Final JSON lines of `python3 swarmbench/run.py --trace 0` at the parent and at the "
@@ -86,18 +85,18 @@ def main():
     workloads = doc.setdefault("workloads", {})
     for workload in args.workload:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 t0 = time.monotonic()
-                runs[side].append(run_once(getattr(args, side), workload, args.seed, args.seconds))
+                runs[side].append(run_once(getattr(args, side), workload, args.seed, seconds))
                 wall = runs[side][-1]["metrics"]["wall_s"]["value"]
                 print(f"{workload} pair {i} {side}: wall_s {wall:.6g} "
                       f"({time.monotonic() - t0:.0f} s)", file=sys.stderr, flush=True)
         workloads[f"{workload}:{args.seed}"] = {
-            "command": f"--workload {workload} --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+            "command": f"--workload {workload} --seed {args.seed} --seconds {seconds:g} --trace 0",
             "runs": runs,
-            "summary": summarize(runs, declared),
+            "summary": summarize(runs, bench["end_to_end"]),
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0

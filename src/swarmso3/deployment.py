@@ -3,6 +3,7 @@ covariance, and the gain rules that keep the formation non-degenerate.
 
 Positions are (N, 3) arrays; all quantities are computed from a single
 snapshot of the swarm (do not interleave per-agent updates with stats).
+The passes over a whole run log, such as the Weyl floor, are in `sim`.
 """
 
 from dataclasses import dataclass
@@ -10,19 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDeployment, DegenerateDirection
-
-BLOCK_BYTES = 1 << 20  # bytes of one pair-scan block in the passes over a whole log
-PAIR_BYTES = 16  # bytes a pair takes in the scan: two float64 planes, see sim._sq
-WEYL_TOL = 1e-9  # a `weyl_floor_violation` up to this is roundoff, not a breach
-
-
-def _block_steps(n):
-    """Steps per block of a pass over an N-agent log: as many as one
-    N x N pair scan fits in BLOCK_BYTES, so the block's (steps, N, 3)
-    temporaries take at most 1.5 BLOCK_BYTES / N bytes and the extra
-    memory of the pass is O(N) beyond the log."""
-    return max(1, BLOCK_BYTES // (PAIR_BYTES * n * n))
-
 
 @dataclass(frozen=True)
 class DeploymentStats:
@@ -53,8 +41,8 @@ def _barycentric(p):
     """(centroid, x, radius) of positions (..., N, 3): the centroids, the
     barycentric coordinates x_i = p_i - centroid and max_i ||x_i||, one
     per leading index. Unchecked; the simulator's loop, `_spread` and
-    `weyl_floor_violation` call it on (N, 3) snapshots and (steps, N, 3)
-    blocks of the log."""
+    the Weyl floor pass of `sim` call it on (N, 3) snapshots and (steps,
+    N, 3) blocks of the log."""
     pc = p.sum(axis=-2) / p.shape[-2]  # numpy's own definition of mean
     x = p - pc[..., None, :]
     return pc, x, np.sqrt((x * x).sum(axis=-1).max(axis=-1))
@@ -192,26 +180,3 @@ def covariance_perturbation_bound(eps, stats0: DeploymentStats):
         raise ValueError("eps must be >= 0")
     bound = 2.0 * stats0.radius * eps + eps * eps
     return bound if np.ndim(eps) else float(bound)
-
-
-def weyl_floor_violation(positions, lambda_min) -> float:
-    """Worst breach of the Weyl covariance floor over a whole run.
-
-    positions is the (M, N, 3) position log and lambda_min its logged
-    smallest covariance eigenvalue per step. Step k's floor is
-    lambda_min(P(0)) - (2 D0 e_k + e_k^2) with e_k = max_i ||x_i(t_k) -
-    x_i(0)||; the result is max_k (floor_k - lambda_min_k), <= 0 when the
-    floor holds at every step. The log is walked in blocks of
-    `_block_steps(N)` steps, so the extra memory is O(N) beyond it.
-    """
-    stats0 = deployment_stats(positions[0])
-    m, n = positions.shape[:2]
-    eps = np.empty(m)
-    steps = _block_steps(n)
-    for a in range(0, m, steps):
-        x = _barycentric(positions[a : a + steps])[1]
-        x -= stats0.x
-        x *= x
-        eps[a : a + steps] = np.sqrt(x.sum(axis=2).max(axis=1))
-    floor = stats0.lambda_min - covariance_perturbation_bound(eps, stats0)
-    return float(np.max(floor - lambda_min))

@@ -12,14 +12,9 @@ import json
 
 import numpy as np
 
-from .deployment import (
-    WEYL_TOL,
-    deployment_stats,
-    pairwise_displacement_bound,
-    plan_gains,
-    weyl_floor_violation,
-)
+from .deployment import deployment_stats, pairwise_displacement_bound, plan_gains
 from .errors import DegenerateDeployment
+from .sim import WEYL_TOL, weyl_floor_violation
 
 TABLE_COMMENT = (
     "# step table: one row per fixed-dt step; rotations row-major; "

@@ -31,13 +31,14 @@ r, r_d, mu, hold and the heading before the step's turn. The log-only
 columns (t, delta, lambda_min, sigma_centroid, dist_to_source,
 max_pair_disp, unknown_rate, rate_violation) feed nothing back, so
 `_derived` computes them once after the loop from the stored columns,
-in blocks of steps whose pair scan fits BLOCK_BYTES. Each value has the
-same bits as the per-step public functions give (`deployment_stats`,
+walking the log in `_blocks` as `weyl_floor_violation` does; every pass
+over a whole log lives here. Each value has the same bits as the
+per-step public functions give (`deployment_stats`,
 `heading_alignment_delta`, `FieldSpec.values`). The turn is the minimal
 rotation about the mutual normal, so its angle is the great-circle angle
 between the headings before and after it: the turn rate is that angle
 over dt, by the same `_alignment` as delta, and exactly 0 at a step
-without a turn.
+without a turn. Nothing else computes the turn rate.
 
 Reference-rate conventions (`rate_frame`):
   "literal": the total reference rate R_d^T w_known + w_unknown is an
@@ -55,7 +56,7 @@ import numpy as np
 
 from .attitude import ControllerConfig, _alignment, _feedforward
 from .deployment import (
-    BLOCK_BYTES, PAIR_BYTES, _ascending, _barycentric, _block_steps, _heading, _positions, _spread
+    _ascending, _barycentric, _heading, _positions, _spread, covariance_perturbation_bound, deployment_stats
 )
 from .errors import DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
@@ -66,6 +67,9 @@ from .so3 import (
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
 RATE_FRAMES = ("literal", "body")
 PROJECT_EVERY = 1000  # steps between projections of the attitudes and r_d onto SO(3)
+BLOCK_BYTES = 1 << 20  # bytes of one pair-scan block in the passes over a whole log
+PAIR_BYTES = 16  # bytes a pair takes in the scan: two float64 planes, see `_sq`
+WEYL_TOL = 1e-9  # a `weyl_floor_violation` up to this is roundoff, not a breach
 
 
 @dataclass(frozen=True)
@@ -87,14 +91,13 @@ class RobotState:
 class DesiredAttitudeTrajectory:
     """Shared reference attitude plus its rate decomposition.
 
-    omega_unknown is hidden from controllers; for source-seeking it holds
-    the realized heading-correction rate of the last advance. `held` and
-    `target` are outputs of `advance_desired`, not constructor arguments:
-    `held` marks steps where a vanishing ascending estimate froze the
-    target heading, or where the target was antipodal and no turn was
-    applied. `target` is the heading the last applied turn aimed at (r_d's
-    first column on construction); a vanishing estimate holds it. The
-    constant mode is the prescribed mode with zero rates.
+    omega_unknown is the configured unknown rate, hidden from controllers;
+    source-seeking requires it zero, since its unknown rate is the heading
+    turn, which the log's unknown_rate records. `target` is an output of
+    `advance_desired`, not a constructor argument: the heading the last
+    applied turn aimed at (r_d's first column on construction), which a
+    vanishing estimate holds. The constant mode is the prescribed mode
+    with zero rates.
     """
 
     mode: str
@@ -102,7 +105,6 @@ class DesiredAttitudeTrajectory:
     omega_known: np.ndarray = (0.0, 0.0, 0.0)  # type: ignore[assignment]
     omega_unknown: np.ndarray = (0.0, 0.0, 0.0)  # type: ignore[assignment]
     omega_max_declared: float = 0.0
-    held: bool = dataclasses.field(default=False, init=False)
     target: np.ndarray = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )  # type: ignore[assignment]
@@ -190,6 +192,9 @@ class SimConfig:
             object.__setattr__(self, name, float(getattr(self, name)))
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("n_agents", "seed"):  # a bool would run as 1, a float fail in run
+            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
         if self.seed < 0:
@@ -409,13 +414,12 @@ def advance_desired(
 
     prescribed (and constant, its zero-rate case): compose by the
     exponential of the total rate over dt.
-    source-seeking: apply the designed known spin, then the minimal
-    rotation placing the first column on the fresh target heading computed
-    from `positions` and `field`. omega_unknown reports the turn's
-    rotation vector log(pre^T r_d) over dt, pre being the spun reference;
-    its norm is the logged unknown_rate. A vanishing estimate holds the
-    last target heading and sets `held`, as does an antipodal target,
-    which applies no turn and reports the zero vector.
+    source-seeking: apply the designed known spin, then `_retarget`'s
+    minimal rotation placing the first column on the fresh target heading
+    computed from `positions` and `field`. A vanishing estimate holds the
+    last target heading; an antipodal target applies no turn. The turn
+    rate and the hold are columns of the log (unknown_rate, hold_flag),
+    not outputs of this step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -425,11 +429,9 @@ def advance_desired(
 
     if positions is None or field is None:
         raise ValueError("source-seeking advance needs positions and a field")
-    r_d, target, held = _retarget(pre, traj.target, _positions(positions), field)
-    tau = np.zeros(3) if r_d is pre else _log(pre.T @ r_d)[0]
-    out = replace(traj, r_d=r_d, omega_unknown=tau / dt)
+    r_d, target, _ = _retarget(pre, traj.target, _positions(positions), field)
+    out = replace(traj, r_d=r_d)
     object.__setattr__(out, "target", target)
-    object.__setattr__(out, "held", held)
     return out
 
 
@@ -463,6 +465,35 @@ def _initial_conditions(config: SimConfig):
     return np.ascontiguousarray(p), np.ascontiguousarray(r)
 
 
+def _blocks(m, n):
+    """Slices of the M steps of an N-agent log, as many steps each as one
+    N x N pair scan fits in BLOCK_BYTES: a block's (steps, N, 3)
+    temporaries take at most 1.5 BLOCK_BYTES / N bytes, so a pass over
+    the log needs O(N) extra memory."""
+    steps = max(1, BLOCK_BYTES // (PAIR_BYTES * n * n))
+    return (slice(a, a + steps) for a in range(0, m, steps))
+
+
+def weyl_floor_violation(positions, lambda_min) -> float:
+    """Worst breach of the Weyl covariance floor over a whole run.
+
+    positions is the (M, N, 3) position log and lambda_min its logged
+    smallest covariance eigenvalue per step. Step k's floor is
+    lambda_min(P(0)) - (2 D0 e_k + e_k^2) with e_k = max_i ||x_i(t_k) -
+    x_i(0)||; the result is max_k (floor_k - lambda_min_k), <= 0 when the
+    floor holds at every step. The log is walked in `_blocks`.
+    """
+    stats0 = deployment_stats(positions[0])
+    eps = np.empty(positions.shape[0])
+    for blk in _blocks(*positions.shape[:2]):
+        x = _barycentric(positions[blk])[1]
+        x -= stats0.x
+        x *= x
+        eps[blk] = np.sqrt(x.sum(axis=2).max(axis=1))
+    floor = stats0.lambda_min - covariance_perturbation_bound(eps, stats0)
+    return float(np.max(floor - lambda_min))
+
+
 def _derived(config, p, r, r_d, pre):
     """The log-only columns of a (possibly partial) log: (delta,
     lambda_min, sigma_centroid, dist_to_source, max_pair_disp,
@@ -474,10 +505,9 @@ def _derived(config, p, r, r_d, pre):
     `_alignment` that gives delta. A step without a turn stored one
     heading twice, so its elementwise cross and its rate are exactly 0.
 
-    Works in blocks of steps whose pair scan fits BLOCK_BYTES, so the
-    extra memory is O(N) beyond the log. Raises ValueError for a
-    non-finite position log or covariance, as `deployment_stats` does for
-    one snapshot.
+    Works in `_blocks`, so the extra memory is O(N) beyond the log.
+    Raises ValueError for a non-finite position log or covariance, as
+    `deployment_stats` does for one snapshot.
     """
     m, n = _finite(p, "positions").shape[:2]
     fld, trj = config.field, config.trajectory
@@ -488,9 +518,7 @@ def _derived(config, p, r, r_d, pre):
         rate[:1] = 0.0  # no turn rate before the first step
     else:
         rate = np.full(m, np.linalg.norm(trj.omega_unknown))
-    steps = _block_steps(n)
-    for a in range(0, m, steps):
-        blk = slice(a, a + steps)
+    for blk in _blocks(m, n):
         pc, _, _, _, lam[blk] = _spread(p[blk])
         delta[blk] = _alignment(r[blk, :, :, 0], r_d[blk, None, :, 0])
         pair[blk] = _diameter(p[blk] - p[0])

@@ -18,14 +18,16 @@ import numpy as np
 
 from . import so3
 from .attitude import ControllerConfig
-from .deployment import WEYL_TOL, pairwise_displacement_bound, weyl_floor_violation
+from .deployment import pairwise_displacement_bound
 from .fields import FieldSpec
 from .sim import (
+    WEYL_TOL,
     AttitudeInitSpec,
     DesiredAttitudeTrajectory,
     PlacementSpec,
     SimConfig,
     run,
+    weyl_floor_violation,
 )
 
 # rows per batched block: whole-check stacks of 10 000 samples would add

@@ -30,11 +30,14 @@ from swarmso3 import (
     step_agent,
 )
 from swarmso3 import so3, validate
-from swarmso3.deployment import BLOCK_BYTES, deployment_stats, weyl_floor_violation
+from swarmso3.deployment import deployment_stats
 from swarmso3.reporting import summarize, write_step_table
 from swarmso3.scenario import parse_scenario, scenario_to_config
 from swarmso3 import sim
-from swarmso3.sim import _diameter, _initial_conditions, _scan, reference_body_rates
+from swarmso3.sim import (
+    BLOCK_BYTES, _derived, _diameter, _initial_conditions, _scan, reference_body_rates,
+    weyl_floor_violation,
+)
 
 RNG = np.random.default_rng(55)
 
@@ -442,20 +445,9 @@ def test_advance_desired_holds_last_target_after_antipodal_step():
     field = FieldSpec(kind="quadratic", source=behind, amplitude=1000.0,
                       curvature=[1.0, 1.0, 1.0], domain_radius=10.0)
     out = advance_desired(traj, dt, "body", _octahedron([0.0, 0.0, 0.0]), field)
-    assert out.held
     assert np.allclose(out.r_d, spun, atol=1e-15)
-    assert np.array_equal(out.omega_unknown, np.zeros(3))
     out = advance_desired(out, dt, "body", _octahedron(behind), field)
-    assert out.held
     assert np.allclose(out.r_d[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_held_is_an_output_not_a_constructor_argument():
-    # advance_desired sets it beside target; a value passed in would be
-    # overwritten by the first advance
-    with pytest.raises(TypeError):
-        DesiredAttitudeTrajectory(mode="prescribed", held=True)
-    assert not DesiredAttitudeTrajectory(mode="prescribed").held
 
 
 def test_advance_desired_rejects_bad_positions():
@@ -613,6 +605,27 @@ def test_scan_memory_is_one_block_beyond_the_rows():
     assert peak <= BLOCK_BYTES + 32 * len(u) + 16 * np.getbufsize()
 
 
+def test_derived_memory_does_not_grow_with_the_steps():
+    # fig3's dynamics at N=300, where a block is one step: beyond its seven
+    # outputs, _derived needs one block's temporaries whatever the length
+    # of the log, far below the 2.7 MB position log at 400 steps
+    log = run(_fig3(n_agents=300, t_end=400 * 0.005))
+    pre = _pre_turn_references(log)[:, :, 0]
+    extra = {}
+    for m in (10, 400):
+        tracemalloc.start()
+        try:
+            out = _derived(log.config, log.p[:m], log.r[:m], log.r_d[:m], pre[:m])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra[m] = peak - sum(a.nbytes for a in out)
+    # the margin: the turn rate and its flags are formed over the whole
+    # log at once, a few (M, 3) and (M,) temporaries, under 64 bytes a step
+    assert extra[400] <= extra[10] + 64 * 390
+    assert log.p[:400].nbytes > 2.7e6 and extra[400] < log.p[:400].nbytes / 8
+
+
 def test_max_pair_disp_at_n3000_is_the_full_scan():
     # fig3's swarm at N=3 000 for 4 steps, the swarm-scale workload's
     # dynamics: every logged value equals the unpruned kernel on that
@@ -675,16 +688,12 @@ def test_log_only_columns_equal_the_public_functions(make_log):
             assert log.unknown_rate[k] == rate, k
             if k % sim.PROJECT_EVERY == 0:
                 continue  # advance_desired does not project
-            # the public step reports the turn's rotation vector: its norm
-            # is the logged rate, and its exponential turns pre onto r_d
+            # the public step turns the reference as the loop did
             traj = advance_desired(
                 dataclasses.replace(cfg.trajectory, r_d=log.r_d[k - 1]), cfg.dt,
                 cfg.rate_frame, positions=log.p[k], field=cfg.field,
             )
-            turn = np.linalg.norm(traj.omega_unknown) * cfg.dt
-            assert abs(turn - log.unknown_rate[k] * cfg.dt) <= 1e-14, k
-            turned = pre[k] @ exp_so3(cfg.dt * traj.omega_unknown)
-            assert np.allclose(turned, log.r_d[k], rtol=0.0, atol=1e-13), k
+            assert np.allclose(traj.r_d, log.r_d[k], rtol=0.0, atol=1e-13), k
     else:
         assert (log.unknown_rate == np.linalg.norm(cfg.trajectory.omega_unknown)).all()
     for k in range(len(log)):

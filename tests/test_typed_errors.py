@@ -1,18 +1,24 @@
 """Each typed error of the public API that no other test reaches, plus
-the skew check of `vee` and the two skew-rate inputs and the finiteness
-checks of `hat`, `exp_so3` and the checked log, as one table; and the
-large skew matrices the skew check accepts."""
+the skew check of `vee` and the two skew-rate inputs, the finiteness
+checks of `hat`, `exp_so3` and the checked log and the integer checks of
+`SimConfig`, as one table; and the large skew matrices the skew check
+accepts."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from swarmso3 import (
     AttitudeInitSpec,
+    ControllerConfig,
     DesiredAttitudeRate,
     DesiredAttitudeTrajectory,
     NearPiSingularity,
+    PlacementSpec,
     RobotState,
     ScenarioError,
+    SimConfig,
     advance_desired,
     ascending_direction,
     attitude_error,
@@ -25,6 +31,7 @@ from swarmso3 import (
     hat,
     log_so3,
     project_to_so3,
+    run,
     step_agent,
     vee,
 )
@@ -46,6 +53,17 @@ def _stats():
 
 def _agent():
     return RobotState(p=np.zeros(3), r=np.eye(3))
+
+
+def _config(**changes):
+    # a valid one-agent config with the given fields replaced
+    cfg = SimConfig(
+        n_agents=1, speed=1.0, dt=0.1, t_end=0.1, seed=0,
+        controller=ControllerConfig(k_w=1.0, delta_star=1.0),
+        trajectory=DesiredAttitudeTrajectory(mode="constant"),
+        placement=PlacementSpec(kind="ball", radius=1.0),
+    )
+    return dataclasses.replace(cfg, **changes)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +104,11 @@ def _agent():
         (lambda: attitude_error(np.eye(3), NAN_ROTATION), ValueError, "rotation matrix must be finite"),
         (lambda: dist_geodesic(np.eye(3), INF_ROTATION), ValueError, "rotation matrix must be finite"),
         (lambda: attitude_error(INF_ROTATION, np.eye(3)), ValueError, "rotation matrix must be finite"),
+        (lambda: _config(seed=1.5), ValueError, "seed must be an integer"),
+        (lambda: _config(seed=True), ValueError, "seed must be an integer"),
+        (lambda: _config(seed=np.float64(2.0)), ValueError, "seed must be an integer"),
+        (lambda: _config(n_agents=True), ValueError, "n_agents must be an integer"),
+        (lambda: _config(n_agents=2.0), ValueError, "n_agents must be an integer"),
     ],
     ids=[
         "rate-negative-unknown-bound", "rate-known-not-skew", "rate-known-nan", "vee-nan",
@@ -96,7 +119,8 @@ def _agent():
         "advance-desired-dt", "advance-desired-seeking-inputs", "project-shape",
         "dist-geodesic-near-pi", "hat-inf", "hat-nan", "exp-so3-inf", "exp-so3-nan",
         "log-so3-nan", "log-so3-inf", "dist-geodesic-nan", "attitude-error-nan",
-        "dist-geodesic-inf", "attitude-error-inf",
+        "dist-geodesic-inf", "attitude-error-inf", "config-seed-float", "config-seed-bool",
+        "config-seed-numpy-float", "config-n_agents-bool", "config-n_agents-float",
     ],
 )
 def test_typed_error(call, error, match):
@@ -114,3 +138,9 @@ def test_rotated_skew_matrix_passes_at_large_norm(norm):
     assert np.allclose(vee(s), r @ w, rtol=0.0, atol=1e-12 * norm)
     assert np.array_equal(DesiredAttitudeRate(known=s).known, s)
     assert np.isfinite(step_agent(_agent(), s, 1.0, 0.01).p).all()
+
+
+def test_config_takes_numpy_integers():
+    cfg = _config(n_agents=np.int64(2), seed=np.uint32(3))
+    assert (cfg.n_agents, cfg.seed) == (2, 3)
+    assert len(run(cfg)) == 2

@@ -18,8 +18,11 @@ read better (`change_wins`, ties counting for neither side), the number of
 pairs and the parent's interquartile range (`parent_iqr`).
 
 An existing --out file keeps its other entries: a workload at another seed
-is added beside them, and the same workload and seed is replaced. Standard
-library only, so it runs under any interpreter that can run the benchmark.
+is added beside them, and the same workload and seed is replaced. The file
+is written after every pair, so a failed or interrupted run keeps the
+pairs finished before it; a workload's `summary` is added after its last
+pair, and an entry without one is incomplete. Standard library only, so it
+runs under any interpreter that can run the benchmark.
 """
 
 import argparse
@@ -85,6 +88,10 @@ def main():
     workloads = doc.setdefault("workloads", {})
     for workload in args.workload:
         runs = {"parent": [], "change": []}
+        entry = workloads[f"{workload}:{args.seed}"] = {
+            "command": f"--workload {workload} --seed {args.seed} --seconds {seconds:g} --trace 0",
+            "runs": runs,
+        }
         for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -93,12 +100,9 @@ def main():
                 wall = runs[side][-1]["metrics"]["wall_s"]["value"]
                 print(f"{workload} pair {i} {side}: wall_s {wall:.6g} "
                       f"({time.monotonic() - t0:.0f} s)", file=sys.stderr, flush=True)
-        workloads[f"{workload}:{args.seed}"] = {
-            "command": f"--workload {workload} --seed {args.seed} --seconds {seconds:g} --trace 0",
-            "runs": runs,
-            "summary": summarize(runs, bench["end_to_end"]),
-        }
-        args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+            if i == PAIRS - 1:
+                entry["summary"] = summarize(runs, bench["end_to_end"])
+            args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import _COL, _ROW, _arr3, _checked_log, _hat, _mat3, _relative, _skew, _vee, log_so3
+from .so3 import _COL, _ROW, _arr3, _checked_log, _hat, _mat3, _relative, _scalar, _skew, _vee, log_so3
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,13 @@ class ControllerConfig:
     mu_star: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.delta_star is None and self.mu_star is None:
+        bands = {n: float(_scalar(v, n)) for n in ("delta_star", "mu_star")
+                 if (v := getattr(self, n)) is not None}
+        if not bands:
             raise ValueError("need mu_star and/or delta_star")
-        delta_star = self.mu_star if self.delta_star is None else self.delta_star
-        mu_star = self.delta_star if self.mu_star is None else self.mu_star
-        object.__setattr__(self, "delta_star", float(delta_star))
-        object.__setattr__(self, "mu_star", float(mu_star))
-        if self.k_w is None or not 0 < self.k_w < np.inf:
+        object.__setattr__(self, "delta_star", bands.get("delta_star", bands.get("mu_star")))
+        object.__setattr__(self, "mu_star", bands.get("mu_star", self.delta_star))
+        if self.k_w is None or not 0 < _scalar(self.k_w, "k_w") < np.inf:
             raise ValueError("k_w must be given, positive and finite")
         if not (0 < self.mu_star <= self.delta_star <= np.pi):
             raise ValueError("need 0 < mu_star <= delta_star <= pi")

@@ -16,6 +16,8 @@ from .deployment import deployment_stats, pairwise_displacement_bound, plan_gain
 from .errors import DegenerateDeployment
 from .sim import WEYL_TOL, weyl_floor_violation
 
+# the per-step float columns after the agents' ones, each a SimLog column
+SWARM_COLUMNS = ("lambda_min", "sigma_centroid", "dist_to_source", "max_pair_disp", "unknown_rate")
 TABLE_COMMENT = (
     "# step table: one row per fixed-dt step; rotations row-major; "
     "angles in radians; nan marks quantities without a configured field\n"
@@ -28,16 +30,7 @@ def table_columns(n_agents: int) -> list:
         cols += [f"p{i}x", f"p{i}y", f"p{i}z"]
         cols += [f"r{i}{a}{b}" for a in range(3) for b in range(3)]
         cols += [f"mu{i}", f"delta{i}"]
-    cols += [
-        "lambda_min",
-        "sigma_centroid",
-        "dist_to_source",
-        "max_pair_disp",
-        "unknown_rate",
-        "hold",
-        "rate_violation",
-    ]
-    return cols
+    return cols + [*SWARM_COLUMNS, "hold", "rate_violation"]
 
 
 def _rows(log):
@@ -45,15 +38,7 @@ def _rows(log):
     step, each float as its repr (nan as "nan")."""
     n = log.config.n_agents
     yield TABLE_COMMENT + ",".join(table_columns(n)) + "\n"
-    tail = np.column_stack(
-        (
-            log.lambda_min,
-            log.sigma_centroid,
-            log.dist_to_source,
-            log.max_pair_disp,
-            log.unknown_rate,
-        )
-    ).tolist()
+    tail = np.column_stack([getattr(log, c) for c in SWARM_COLUMNS]).tolist()
     flags = zip(log.hold_flag.tolist(), log.rate_violation.tolist())
     for k, (t, (hold, violation)) in enumerate(zip(log.t.tolist(), flags)):
         agents = np.concatenate(

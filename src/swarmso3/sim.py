@@ -16,9 +16,10 @@ attitude array, one row per agent, and each pass of `run`'s loop
 advances all N agents at once. Each piece of the step is one function,
 which the public per-step API (`reference_body_rates`, `advance_desired`,
 `step_agent`) calls too: `_retarget` (the turn), `_rates` (the known
-body rate and the designed spin as a rotation vector; once per run in
-the body frame, at each step in the literal frame, whose rates turn with
-r_d), `_feedforward` and `_move` (the pose step, given the half-step
+body rate and the designed spin dt * (known + unknown) as a rotation
+vector, one rule for every mode; once per run in the body frame, at
+each step in the literal frame, whose rates turn with r_d),
+`_feedforward` and `_move` (the pose step, given the half-step
 exponential); the attitude error is R_d^T R with its `_log`. In both
 frames the spin vector is one more row of the agents' half-step
 rotation vectors, so one `_exp` a step gives both; a row of a stack has
@@ -61,7 +62,7 @@ from .deployment import (
 from .errors import DegenerateDirection, NearPiSingularity
 from .fields import FieldSpec
 from .so3 import (
-    _I3, _apply_kinds, _arr3, _exp, _finite, _hat, _log, _mat3, is_rotation, project_to_so3, vee
+    _I3, _apply_kinds, _arr3, _exp, _finite, _hat, _log, _mat3, _scalar, is_rotation, project_to_so3, vee
 )
 
 TRAJECTORY_MODES = ("constant", "prescribed", "source-seeking")
@@ -91,13 +92,13 @@ class RobotState:
 class DesiredAttitudeTrajectory:
     """Shared reference attitude plus its rate decomposition.
 
-    omega_unknown is the configured unknown rate, hidden from controllers;
-    source-seeking requires it zero, since its unknown rate is the heading
-    turn, which the log's unknown_rate records. `target` is an output of
-    `advance_desired`, not a constructor argument: the heading the last
-    applied turn aimed at (r_d's first column on construction), which a
-    vanishing estimate holds. The constant mode is the prescribed mode
-    with zero rates.
+    omega_unknown is the configured unknown rate, hidden from controllers.
+    A source-seeking trajectory rejects a nonzero one: its unknown rate
+    is the heading turn, which the log's unknown_rate records. `target`
+    is an output of `advance_desired`, not a constructor argument: the
+    heading the last applied turn aimed at (r_d's first column on
+    construction), which a vanishing estimate holds. The constant mode
+    is the prescribed mode with zero rates.
     """
 
     mode: str
@@ -121,6 +122,8 @@ class DesiredAttitudeTrajectory:
             object.__setattr__(self, name, _finite(_arr3(getattr(self, name)), name))
         if self.mode == "constant" and (self.omega_known.any() or self.omega_unknown.any()):
             raise ValueError("constant mode requires zero omega_known and omega_unknown")
+        if self.mode == "source-seeking" and self.omega_unknown.any():
+            raise ValueError("source-seeking mode requires zero omega_unknown")
         if not 0 <= self.omega_max_declared < np.inf:
             raise ValueError("omega_max_declared must be >= 0 and finite")
 
@@ -172,7 +175,9 @@ class AttitudeInitSpec:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a run needs; identical configs give identical logs."""
+    """Everything a run needs; identical configs give identical logs.
+    speed, dt and t_end are real numbers and n_agents and seed integers,
+    never bools; the trajectory checks its own rates."""
 
     n_agents: int
     speed: float
@@ -189,12 +194,11 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("speed", "dt", "t_end"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float(_scalar(getattr(self, name), name)))
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("n_agents", "seed"):  # a bool would run as 1, a float fail in run
-            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+            _scalar(getattr(self, name), name, (int, np.integer), "an integer")
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
         if self.seed < 0:
@@ -215,8 +219,6 @@ class SimConfig:
         if self.trajectory.mode == "source-seeking":
             if self.field is None:
                 raise ValueError("source-seeking mode requires a field")
-            if self.trajectory.omega_unknown.any():  # its unknown rate is the turn
-                raise ValueError("source-seeking mode requires zero omega_unknown")
             if self.n_agents < 2:  # one agent's ascending estimate always vanishes
                 raise ValueError("source-seeking mode needs at least two agents")
         for what, given in (
@@ -275,14 +277,13 @@ def _rates(trj, rate_frame, r_d, dt):
     """(wk, spin) of the reference r_d of trajectory trj: its body-frame
     known rate and its designed spin over dt as a rotation vector, dt
     times its body rates, so r_d @ _exp(spin) is the reference after dt.
-    Source-seeking spins by the known rate only; its heading turn is
-    `_retarget`. `run` writes the spin as the last row of the agents'
-    half-step rotation vectors, once in the body frame and at each step
-    in the literal frame, so its exponential comes from the same `_exp`
-    call; `advance_desired` takes it alone."""
+    One rule for every mode: a source-seeking trajectory has a zero
+    omega_unknown, and its heading turn is `_retarget`. `run` writes the
+    spin as the last row of the agents' half-step rotation vectors, once
+    in the body frame and at each step in the literal frame, so its
+    exponential comes from the same `_exp` call; `advance_desired` takes
+    it alone."""
     wk, wu = _body_rates(rate_frame, r_d, trj.omega_known, trj.omega_unknown)
-    if trj.mode == "source-seeking":
-        return wk, dt * wk
     return wk, dt * (wk + wu)
 
 
@@ -340,15 +341,16 @@ def _sq(a, b):
     return acc
 
 
-def _scan(u, block_bytes=BLOCK_BYTES):
+def _scan(u):
     """max_{i<j} ||u_i - u_j|| over all pairs of rows of u (..., N, 3),
-    one value per leading index, in row blocks of block_bytes, so the
-    extra memory is O(N) per leading index rather than O(N^2). The one
-    pair kernel: `_diameter` calls it on the rows that can hold the
-    longest pair. `_sq` forms a block's pairs from coordinate planes (3,
-    ..., N), PAIR_BYTES a pair, since numpy reduces a short last axis slowly."""
+    one value per leading index, in row blocks of BLOCK_BYTES (read at
+    each call, as `_blocks` reads it), so the extra memory is O(N) per
+    leading index rather than O(N^2). The one pair kernel: `_diameter`
+    calls it on the rows that can hold the longest pair. `_sq` forms a
+    block's pairs from coordinate planes (3, ..., N), PAIR_BYTES a pair,
+    since numpy reduces a short last axis slowly."""
     n, lead, c = u.shape[-2], u.shape[:-2], np.moveaxis(u, -1, 0).copy()
-    rows = max(1, block_bytes // (PAIR_BYTES * n * int(np.prod(lead))))
+    rows = max(1, BLOCK_BYTES // (PAIR_BYTES * n * int(np.prod(lead))))
     worst = np.zeros(lead)
     for i in range(0, n - 1, rows):
         block = _sq(c[..., i : i + rows, None], c[..., None, i:]).max(axis=(-2, -1))
@@ -356,7 +358,7 @@ def _scan(u, block_bytes=BLOCK_BYTES):
     return np.sqrt(worst)
 
 
-def _diameter(u, block_bytes=BLOCK_BYTES):
+def _diameter(u):
     """max_{i<j} ||u_i - u_j|| over the rows of u (..., N, 3), one value
     per leading index, bitwise equal to `_scan(u)` but scanning only the
     rows that can hold the longest pair.
@@ -387,7 +389,7 @@ def _diameter(u, block_bytes=BLOCK_BYTES):
     if k < n:
         top = np.argpartition(r, n - k, axis=-1)[..., n - k :]
         u = np.take_along_axis(u, top[..., None], axis=-2)
-    return _scan(u, block_bytes)
+    return _scan(u)
 
 
 def step_agent(state: RobotState, omega, s: float, dt: float) -> RobotState:

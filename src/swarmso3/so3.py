@@ -49,6 +49,13 @@ def _finite(out: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
+def _scalar(value, name: str, kinds=(int, float, np.integer, np.floating), what="a real number"):
+    """value, if it is one of `kinds`, Python or numpy scalars, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {what}")
+    return value
+
+
 def _take(given: dict, takes: dict, what: str) -> dict:
     """The inputs `given` (name -> value, None meaning absent) checked on
     the table `takes`, name -> default or None if required, with the
@@ -249,11 +256,12 @@ def exp_coord_derivative(tau, omega) -> np.ndarray:
     """Rate of the rotation vector tau under body angular velocity Omega.
 
     Returns Omega + 1/2 [tau^, Omega] + (1 - a)/theta^2 [tau^, [tau^, Omega]]
-    with a = (theta/2) cot(theta/2); equals Omega at tau = 0.
+    with a = (theta/2) cot(theta/2); equals Omega at tau = 0. Raises what
+    `log_so3(exp_so3(tau))` does, and NearPiSingularity at theta >= pi.
     """
-    tau, omega = _arr3(tau), _mat3(omega)
+    tau, omega = _finite(_arr3(tau), "tau"), _mat3(omega)
     theta = float(np.linalg.norm(tau))
-    if theta >= np.pi - TRACE_GUARD:
+    if theta >= np.pi or not _angle(_exp(tau))[3]:
         raise NearPiSingularity("exponential-coordinate rate undefined near pi")
     if theta < SMALL_ANGLE:
         t2 = theta * theta

@@ -3,6 +3,7 @@ import json
 import tracemalloc
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -505,7 +506,9 @@ def test_pair_displacement_is_diameter_of_offsets(block_bytes):
     p0 = RNG.normal(size=(23, 3)) * 3.0
     for lead in [(), (4,)]:
         p = p0 + RNG.normal(size=lead + (23, 3))
-        got = _diameter(p - p0, block_bytes)
+        with mock.patch.object(sim, "BLOCK_BYTES", block_bytes):
+            got = _diameter(p - p0)
+            assert np.array_equal(_diameter(p[..., :1, :] - p0[:1]), np.zeros(lead))
         assert got.shape == lead
         for idx in np.ndindex(*lead):
             pairs = [
@@ -513,7 +516,6 @@ def test_pair_displacement_is_diameter_of_offsets(block_bytes):
                 for i in range(23) for j in range(i + 1, 23)
             ]
             assert got[idx] == pytest.approx(max(pairs), rel=1e-14)
-        assert np.array_equal(_diameter(p[..., :1, :] - p0[:1], block_bytes), np.zeros(lead))
 
 
 def _pairs_by_rows(u):
@@ -561,8 +563,9 @@ def test_pruned_diameter_is_bitwise_the_full_scan(
         u[first] = u[first][0]
     if nan:
         u[(-1,) * len(lead) + (rng.integers(n), rng.integers(3))] = np.nan
-    got = _diameter(u, block_bytes)
-    assert np.array_equal(got, _scan(u, block_bytes), equal_nan=True)
+    with mock.patch.object(sim, "BLOCK_BYTES", block_bytes):
+        got = _diameter(u)
+        assert np.array_equal(got, _scan(u), equal_nan=True)
     assert np.array_equal(got, _pairs_by_rows(u), equal_nan=True)
     if flat and not (nan and first == tuple(d - 1 for d in lead)):
         assert got[first] == 0.0
@@ -582,10 +585,11 @@ def test_pruned_diameter_keeps_every_row_when_the_bounds_overflow():
             for row in range(3):
                 v = np.zeros((3, 3))
                 v[:, 0] = np.roll([0.0, 1.0, np.inf], row)
-                assert np.array_equal(_diameter(v, block_bytes), _scan(v, block_bytes), equal_nan=True)
                 w = u.copy()
                 w[1, 13 * row] = np.inf
-                assert np.array_equal(_diameter(w, block_bytes), _scan(w, block_bytes), equal_nan=True)
+                with mock.patch.object(sim, "BLOCK_BYTES", block_bytes):
+                    assert np.array_equal(_diameter(v), _scan(v), equal_nan=True)
+                    assert np.array_equal(_diameter(w), _scan(w), equal_nan=True)
         u[1, 7, 2] = np.nan
         assert np.array_equal(_diameter(u), _scan(u), equal_nan=True)
 

@@ -250,9 +250,17 @@ def test_exp_coord_derivative_along_own_axis():
 
 
 def test_exp_coord_derivative_raises_near_pi():
-    tau = np.array([np.pi - 1e-9, 0.0, 0.0])
+    # the log's rule tr R <= -1 + 1e-6 starts near theta = pi - 1e-3, so
+    # pi - 1e-4 raises as log_so3(exp_so3(tau)) does; pi - 1e-2 returns
+    w = hat(np.ones(3))
+    for theta in (np.pi - 1e-9, np.pi - 1e-4, np.pi, 2 * np.pi - 0.1):
+        with pytest.raises(NearPiSingularity):
+            exp_coord_derivative([theta, 0.0, 0.0], w)
     with pytest.raises(NearPiSingularity):
-        exp_coord_derivative(tau, hat(np.ones(3)))
+        log_so3(exp_so3([np.pi - 1e-4, 0.0, 0.0]))
+    tau = np.array([0.0, np.pi - 1e-2, 0.0])
+    assert np.isfinite(exp_coord_derivative(tau, w)).all()
+    assert np.allclose(log_so3(exp_so3(tau)), tau, atol=1e-9)
 
 
 def test_exp_coord_derivative_matches_finite_differences():

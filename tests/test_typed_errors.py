@@ -1,8 +1,9 @@
 """Each typed error of the public API that no other test reaches, plus
 the skew check of `vee` and the two skew-rate inputs, the finiteness
-checks of `hat`, `exp_so3` and the checked log and the integer checks of
-`SimConfig`, as one table; and the large skew matrices the skew check
-accepts."""
+checks of `hat`, `exp_so3`, `exp_coord_derivative` and the checked log,
+the integer and real-number checks of `SimConfig` and `ControllerConfig`
+and the trajectory's rate rules, as one table; and the large skew
+matrices the skew check accepts."""
 
 import dataclasses
 
@@ -25,6 +26,7 @@ from swarmso3 import (
     control_known_ff,
     deployment_stats,
     dist_geodesic,
+    exp_coord_derivative,
     exp_so3,
     gain_for_bounded_rate,
     gain_for_nondegeneracy,
@@ -109,6 +111,16 @@ def _config(**changes):
         (lambda: _config(seed=np.float64(2.0)), ValueError, "seed must be an integer"),
         (lambda: _config(n_agents=True), ValueError, "n_agents must be an integer"),
         (lambda: _config(n_agents=2.0), ValueError, "n_agents must be an integer"),
+        (lambda: _config(speed=True), ValueError, "speed must be a real number"),
+        (lambda: _config(dt="0.1"), ValueError, "dt must be a real number"),
+        (lambda: _config(t_end=np.True_), ValueError, "t_end must be a real number"),
+        (lambda: ControllerConfig(k_w=True, delta_star=1.0), ValueError, "k_w must be a real number"),
+        (lambda: ControllerConfig(k_w="1", delta_star=1.0), ValueError, "k_w must be a real number"),
+        (lambda: ControllerConfig(k_w=1.0, delta_star=True), ValueError, "delta_star must be a real number"),
+        (lambda: ControllerConfig(k_w=1.0, mu_star="0.5"), ValueError, "mu_star must be a real number"),
+        (lambda: DesiredAttitudeTrajectory(mode="source-seeking", omega_unknown=[0, 0, 5.0]),
+         ValueError, "source-seeking mode requires zero omega_unknown"),
+        (lambda: exp_coord_derivative([np.nan, 0, 0], ZERO_RATE), ValueError, "tau must be finite"),
     ],
     ids=[
         "rate-negative-unknown-bound", "rate-known-not-skew", "rate-known-nan", "vee-nan",
@@ -121,6 +133,9 @@ def _config(**changes):
         "log-so3-nan", "log-so3-inf", "dist-geodesic-nan", "attitude-error-nan",
         "dist-geodesic-inf", "attitude-error-inf", "config-seed-float", "config-seed-bool",
         "config-seed-numpy-float", "config-n_agents-bool", "config-n_agents-float",
+        "config-speed-bool", "config-dt-str", "config-t_end-numpy-bool", "controller-k_w-bool",
+        "controller-k_w-str", "controller-delta_star-bool", "controller-mu_star-str",
+        "trajectory-seeking-omega_unknown", "exp-coord-derivative-nan",
     ],
 )
 def test_typed_error(call, error, match):
@@ -144,3 +159,11 @@ def test_config_takes_numpy_integers():
     cfg = _config(n_agents=np.int64(2), seed=np.uint32(3))
     assert (cfg.n_agents, cfg.seed) == (2, 3)
     assert len(run(cfg)) == 2
+
+
+def test_configs_take_python_and_numpy_reals():
+    controller = ControllerConfig(k_w=np.float32(2.0), mu_star=np.int64(1))
+    cfg = _config(speed=2, dt=np.float32(0.5), t_end=np.int64(1), controller=controller)
+    assert (cfg.speed, cfg.dt, cfg.t_end) == (2.0, 0.5, 1.0)
+    assert (controller.delta_star, controller.mu_star) == (1.0, 1.0)
+    assert len(run(cfg)) == 3

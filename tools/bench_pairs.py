@@ -15,7 +15,9 @@ final JSON line of every run is kept. For each end-to-end metric that
 CHANGE's BENCHMARK.json declares, the summary gives each side's [q1,
 median, q3] (inclusive quartiles), the number of pairs in which the change
 read better (`change_wins`, ties counting for neither side), the number of
-pairs and the parent's interquartile range (`parent_iqr`).
+pairs and the parent's interquartile range (`parent_iqr`). Its `failures`
+entry gives, per side, the runs that were not `correct` and the share of
+failed operations, the total of `failed` over the total of `attempted`.
 
 An existing --out file keeps its other entries: a workload at another seed
 is added beside them, and the same workload and seed is replaced. The file
@@ -52,9 +54,17 @@ def quartiles(values):
     return [round(q1, 6), round(q2, 6), round(q3, 6)]
 
 
+def failures(side_runs):
+    """The runs of one side that were not correct, and its share of failed operations."""
+    failed, attempted = (sum(r[key] for r in side_runs) for key in ("failed", "attempted"))
+    return {"not_correct": sum(not r["correct"] for r in side_runs),
+            "failed_share": failed / max(1, attempted)}
+
+
 def summarize(runs, declared):
-    """Per declared metric: both sides' quartiles, change_wins and parent_iqr."""
-    out = {}
+    """Per declared metric: both sides' quartiles, change_wins and parent_iqr;
+    and under `failures`, each side's `failures`."""
+    out = {"failures": {side: failures(side_runs) for side, side_runs in runs.items()}}
     for metric in declared:
         name = metric["name"]
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
